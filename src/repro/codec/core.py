@@ -103,8 +103,8 @@ def reset_size_cache_stats() -> None:
 def register(type_id: int) -> Callable[[Type[_T]], Type[_T]]:
     """Class decorator registering a dataclass for wire encoding.
 
-    Type ids must be unique library-wide; see :mod:`repro.codec.registry`
-    for the id allocation map.
+    Type ids must be unique library-wide; the allocation map is pinned
+    in ``EXPECTED_IDS`` in ``tests/test_wire_compat.py``.
     """
 
     def decorate(cls: Type[_T]) -> Type[_T]:

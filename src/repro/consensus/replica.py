@@ -19,14 +19,12 @@ from ..obs.recorder import SpanRecorder
 from ..types.block import Block, BlockHeader
 from ..types.certificates import (
     VOTE_DOMAIN,
-    AggregateBlameCertificate,
-    AggregateQuorumCertificate,
     AnyBlameCert,
     AnyQuorumCert,
     Blame,
-    BlameCertificate,
-    QuorumCertificate,
+    Certificate,
     Vote,
+    certify,
     is_genesis_qc,
     vote_signing_bytes,
 )
@@ -278,7 +276,7 @@ class BaseReplica:
             return None
         if lazy and not self._batch_check_bucket(vote, bucket):
             return None  # bad votes excluded; quorum no longer met
-        qc = self._make_qc(tuple(bucket.values()))
+        qc = certify(tuple(bucket.values()), self.signer, self.config.crypto_aggregate)
         self._qcs[key] = qc
         return qc
 
@@ -301,28 +299,28 @@ class BaseReplica:
             self.trace("bad_vote_attributed", voter=voter, epoch=vote.epoch, phase=vote.phase)
         return len(bucket) >= self.validators.quorum
 
-    def _make_qc(self, votes: Tuple[Vote, ...]) -> AnyQuorumCert:
-        if self.config.crypto_aggregate:
-            return AggregateQuorumCertificate.from_votes(votes, self.signer)
-        return QuorumCertificate.from_votes(votes)
-
     def qc_for(self, phase: int, epoch: int, block_hash: Digest) -> Optional[AnyQuorumCert]:
         return self._qcs.get((phase, epoch, block_hash))
 
-    def verify_qc(self, qc: AnyQuorumCert) -> bool:
-        """Verify a received certificate (genesis QC is valid by fiat).
+    def verify_certificate(self, cert: Certificate) -> bool:
+        """Check a received certificate of any kind, in either wire form.
 
-        Accepts both wire forms.  For the aggregate form, the signer
-        bitmap is first checked against cluster membership — a bitmap
-        naming a non-member is rejected before any key lookup.
+        The signer set is screened against cluster membership before any
+        key lookup — a raw list naming a negative or non-member id, or a
+        bitmap with a bit at or above n, is rejected — then the quorum
+        size and the signatures are checked (memoized on the object).
         """
+        return (
+            cert.protocol == self.protocol_name
+            and cert.signed_by_members(self.validators.n)
+            and cert.verify(self.signer, self.validators.quorum)
+        )
+
+    def verify_qc(self, qc: AnyQuorumCert) -> bool:
+        """Verify a received certificate (genesis QC is valid by fiat)."""
         if is_genesis_qc(qc):
             return qc.block_hash == self.store.genesis.block_hash
-        if isinstance(qc, AggregateQuorumCertificate) and not self.validators.covers_bits(
-            qc.signer_bits
-        ):
-            return False
-        return qc.protocol == self.protocol_name and qc.verify(self.signer, self.validators.quorum)
+        return self.verify_certificate(qc)
 
     # -- blame accounting ------------------------------------------------------------
 
@@ -339,23 +337,13 @@ class BaseReplica:
             return None
         bucket[blame.blamer] = blame
         if len(bucket) == self.validators.quorum and blame.epoch not in self._blame_certs:
-            blames = tuple(bucket.values())
-            if self.config.crypto_aggregate:
-                cert: AnyBlameCert = AggregateBlameCertificate.from_blames(blames, self.signer)
-            else:
-                cert = BlameCertificate.from_blames(blames)
+            cert = certify(tuple(bucket.values()), self.signer, self.config.crypto_aggregate)
             self._blame_certs[blame.epoch] = cert
             return cert
         return None
 
     def verify_blame_cert(self, cert: AnyBlameCert) -> bool:
-        if isinstance(cert, AggregateBlameCertificate) and not self.validators.covers_bits(
-            cert.signer_bits
-        ):
-            return False
-        return cert.protocol == self.protocol_name and cert.verify(
-            self.signer, self.validators.quorum
-        )
+        return self.verify_certificate(cert)
 
     # -- commit helper ------------------------------------------------------------
 

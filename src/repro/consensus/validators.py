@@ -47,16 +47,3 @@ class ValidatorSet:
     def is_valid_replica(self, replica_id: int) -> bool:
         return 0 <= replica_id < self.n
 
-    @property
-    def membership_bits(self) -> int:
-        """Bitmap with one bit set per member replica id."""
-        return (1 << self.n) - 1
-
-    def covers_bits(self, signer_bits: int) -> bool:
-        """True iff every bit of ``signer_bits`` names a member replica.
-
-        Cheap membership screen for aggregate-certificate signer bitmaps:
-        a bitmap naming a non-member (or a malformed negative one) is
-        rejected before any signature work.
-        """
-        return 0 <= signer_bits and signer_bits | self.membership_bits == self.membership_bits

@@ -80,12 +80,11 @@ from ..obs.recorder import (
 from ..recovery.wal import WalEpochRecord
 from ..types.block import BlockHeader, BlockPayload, make_block
 from ..types.certificates import (
-    AggregateQuorumCertificate,
     AnyBlameCert,
     AnyQuorumCert,
     Blame,
-    QuorumCertificate,
     Vote,
+    VoteStatement,
     genesis_qc,
 )
 from ..types.messages import (
@@ -1146,7 +1145,7 @@ class AlterBFTReplica(BaseReplica):
                 if record.epoch > max_epoch:
                     max_epoch = record.epoch
                     entry_rank = None
-            elif isinstance(record, (QuorumCertificate, AggregateQuorumCertificate)):
+            elif isinstance(record, VoteStatement):
                 if record.rank > self.high_qc.rank:
                     self.high_qc = record
             elif isinstance(record, WalEpochRecord):

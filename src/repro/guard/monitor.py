@@ -43,10 +43,9 @@ from ..obs.recorder import (
 )
 from ..types.certificates import (
     DeltaAdjust,
-    AggregateDeltaAdjustCertificate,
     AnyDeltaAdjustCert,
-    DeltaAdjustCertificate,
     GUARD_PROBE_DOMAIN,
+    certify,
     guard_probe_signing_bytes,
 )
 from ..types.messages import (
@@ -341,26 +340,14 @@ class SynchronyMonitor:
             return
         bucket[adjust.proposer] = adjust
         if len(bucket) == replica.validators.quorum and adjust.seq not in self._certs:
-            adjusts = tuple(bucket.values())
-            if replica.config.crypto_aggregate:
-                cert: AnyDeltaAdjustCert = AggregateDeltaAdjustCertificate.from_adjusts(
-                    adjusts, replica.signer
-                )
-            else:
-                cert = DeltaAdjustCertificate.from_adjusts(adjusts)
+            cert = certify(tuple(bucket.values()), replica.signer, replica.config.crypto_aggregate)
             self._certs[adjust.seq] = cert
             self._certify(cert)
 
     def on_delta_adjust_cert(self, src: int, msg: DeltaAdjustCertMsg) -> None:
         cert = msg.cert
         replica = self.replica
-        if cert.protocol != replica.protocol_name:
-            raise VerificationError("delta-adjust certificate for a different protocol")
-        if isinstance(
-            cert, AggregateDeltaAdjustCertificate
-        ) and not replica.validators.covers_bits(cert.signer_bits):
-            raise VerificationError("delta-adjust certificate names a non-member signer")
-        if not cert.verify(replica.signer, replica.validators.quorum):
+        if not replica.verify_certificate(cert):
             raise VerificationError("invalid delta-adjust certificate")
         if cert.seq != self.installs or not 0 <= cert.rung <= self.max_rung:
             return

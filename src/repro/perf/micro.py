@@ -22,12 +22,7 @@ from ..config import NetworkConfig
 from ..sim.rng import RngFactory
 from ..sim.scheduler import Scheduler
 from ..types.block import make_block, BlockPayload, genesis_block
-from ..types.certificates import (
-    AggregateQuorumCertificate,
-    QuorumCertificate,
-    Vote,
-    genesis_qc,
-)
+from ..types.certificates import Vote, certify, genesis_qc
 from ..types.messages import ProposalHeaderMsg, VoteMsg
 from ..types.transaction import Transaction
 from .timing import BenchResult, measure
@@ -207,9 +202,9 @@ def bench_crypto_batch(reps: int) -> List[BenchResult]:
         Vote.create(signers[i], "alterbft", 3, 7, b"\x07" * 32)
         for i in range(CERT_QUORUM)
     )
-    raw_qc = QuorumCertificate.from_votes(votes)
-    agg_qc = AggregateQuorumCertificate.from_votes(votes, signers[0])
     verifier = signers[0]
+    raw_qc = certify(votes, verifier, aggregate=False)
+    agg_qc = certify(votes, verifier, aggregate=True)
     results.append(
         measure(
             "crypto.qc_verify_raw",

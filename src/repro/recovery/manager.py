@@ -37,12 +37,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..crypto.hashing import Digest, sha256
 from ..types.block import Block, BlockHeader
-from ..types.certificates import (
-    AggregateCheckpointCertificate,
-    AnyCheckpointCert,
-    CheckpointCertificate,
-    CheckpointVote,
-)
+from ..types.certificates import AnyCheckpointCert, CheckpointVote, certify
 from ..types.messages import (
     BlockRangeRequestMsg,
     BlockRangeResponseMsg,
@@ -159,13 +154,8 @@ class RecoveryManager:
             return
         bucket[vote.voter] = vote
         if len(bucket) == self._quorum:
-            votes = tuple(bucket.values())
-            if self.replica.config.crypto_aggregate:
-                cert: AnyCheckpointCert = AggregateCheckpointCertificate.from_votes(
-                    votes, self.replica.signer
-                )
-            else:
-                cert = CheckpointCertificate.from_votes(votes)
+            replica = self.replica
+            cert = certify(tuple(bucket.values()), replica.signer, replica.config.crypto_aggregate)
             self._record_cert(cert)
 
     def _record_cert(self, cert: AnyCheckpointCert) -> None:
@@ -288,7 +278,7 @@ class RecoveryManager:
             return
         if not self.replica.verify_qc(msg.tip):
             return
-        if msg.checkpoint is not None and not self._verify_cert(msg.checkpoint):
+        if msg.checkpoint is not None and not self.replica.verify_certificate(msg.checkpoint):
             return
         self._status_responses[src] = msg
         if len(self._status_responses) < self._quorum:
@@ -326,15 +316,6 @@ class RecoveryManager:
             self._send_snapshot_request()
         else:
             self._enter_range_phase()
-
-    def _verify_cert(self, cert: AnyCheckpointCert) -> bool:
-        if isinstance(
-            cert, AggregateCheckpointCertificate
-        ) and not self.replica.validators.covers_bits(cert.signer_bits):
-            return False
-        return cert.protocol == self.replica.protocol_name and cert.verify(
-            self.replica.signer, self._quorum
-        )
 
     # -- snapshot phase -------------------------------------------------------
 

@@ -1,4 +1,19 @@
-"""Votes, quorum certificates, and blame certificates.
+"""Signed statements — votes, blames, checkpoint votes, Δ-adjustments —
+and their certificates.
+
+Each *kind* of statement is a frozen dataclass of statement fields with
+its own signing domain and memoized signing-bytes function.  It travels
+in one of three *wire forms*, each implemented once as a mixin that
+appends its signature fields after the statement fields:
+
+* :class:`Signed` — ``+ signer id, signature`` (one replica's statement);
+* :class:`RawCert` — ``+ ((signer id, signature), ...)``;
+* :class:`AggregateCert` — ``+ signer_bits, agg_signature``.
+
+A registered wire class is one kind plus one form.  The codec encodes
+dataclass fields positionally in declaration order, so the inherited
+field order *is* the wire layout.  :func:`certify` builds a certificate
+of either form from matching signed statements.
 
 Certificates are *self-certifying*: they carry the signatures that prove
 them, so any replica can verify one without trusting the relayer.  The
@@ -8,9 +23,10 @@ same structures serve all four protocols; only the quorum size differs
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Tuple, Union
+from operator import attrgetter
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from ..codec import encode, register
 from ..crypto.hashing import Digest, short_hex
@@ -77,81 +93,91 @@ def blame_signing_bytes(protocol: str, epoch: int) -> bytes:
     return encode((protocol, epoch))
 
 
-@register(14)
-@dataclass(frozen=True)
-class Vote:
-    """A signed vote for a block hash in an epoch/phase.
+@lru_cache(maxsize=1024)
+def checkpoint_signing_bytes(protocol: str, height: int, block_hash: Digest, state_digest: Digest) -> bytes:
+    """Canonical bytes a checkpoint-vote signature covers (memoized)."""
+    return encode((protocol, height, block_hash, state_digest))
 
-    Attributes:
-        protocol: short protocol name the vote belongs to.
-        phase: protocol-specific phase number (0 for single-phase votes).
-        epoch: epoch/view of the vote.
-        height: height of the voted block.
-        block_hash: digest of the voted block's header.
-        voter: replica id of the signer.
-        signature: signature over :func:`vote_signing_bytes`.
-    """
 
-    protocol: str
-    phase: int
-    epoch: int
-    height: int
-    block_hash: Digest
-    voter: int
-    signature: bytes
+@lru_cache(maxsize=1024)
+def delta_adjust_signing_bytes(protocol: str, seq: int, rung: int) -> bytes:
+    """Canonical bytes a Δ-adjustment signature covers (memoized)."""
+    return encode((protocol, seq, rung))
 
-    @staticmethod
-    def create(
-        signer: Signer,
-        protocol: str,
-        epoch: int,
-        height: int,
-        block_hash: Digest,
-        phase: int = 0,
-    ) -> "Vote":
-        message = vote_signing_bytes(protocol, phase, epoch, height, block_hash)
-        return Vote(
-            protocol=protocol,
-            phase=phase,
-            epoch=epoch,
-            height=height,
-            block_hash=block_hash,
-            voter=signer.replica_id,
-            signature=signer.digest_and_sign(VOTE_DOMAIN, message),
-        )
 
-    def verify(self, signer: Signer) -> bool:
-        """Check the signature (``signer`` supplies the key registry).
+@lru_cache(maxsize=4096)
+def guard_probe_signing_bytes(protocol: str, sender: int, seq: int) -> bytes:
+    """Canonical bytes a guard-probe signature covers (memoized)."""
+    return encode((protocol, sender, seq))
 
-        The verdict is memoized on the vote object per (scheme, registry):
-        a broadcast vote reaches every replica of a simulated cluster as
-        the same object, and all replicas share one registry, so the
-        repeat verifications are object-identical.  A different registry
-        or scheme (e.g. a second cluster in one test process) recomputes.
+
+# -- statement kinds ------------------------------------------------------------
+
+
+class _Statement:
+    """Behaviour shared by every kind and wire form."""
+
+    def signing_bytes(self) -> bytes:
+        """Canonical bytes every signature over this statement covers."""
+        return self._signing_bytes(*self._statement_fields(self))
+
+    def verify(self, signer: Signer, quorum: int = 1) -> bool:
+        """Check the signature(s) (``signer`` supplies the key registry).
+
+        The verdict is memoized on the object per (scheme, registry,
+        quorum): a broadcast vote or certificate reaches every replica of
+        a simulated cluster as the same object, and all replicas share
+        one registry, so the repeat verifications are object-identical.
+        A different registry or scheme (e.g. a second cluster in one test
+        process) recomputes.
         """
         memo = self.__dict__.get("_verify_memo")
         if (
             memo is not None
             and memo[0] is signer.scheme
             and memo[1] is signer.registry
+            and memo[2] == quorum
         ):
-            return memo[2]
-        message = vote_signing_bytes(self.protocol, self.phase, self.epoch, self.height, self.block_hash)
-        ok = signer.verify_digest(self.voter, VOTE_DOMAIN, message, self.signature)
-        object.__setattr__(self, "_verify_memo", (signer.scheme, signer.registry, ok))
+            return memo[3]
+        ok = self._verify_uncached(signer, quorum)
+        object.__setattr__(self, "_verify_memo", (signer.scheme, signer.registry, quorum, ok))
         return ok
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Vote({self.protocol}/p{self.phase} e={self.epoch} h={self.height} "
-            f"{short_hex(self.block_hash)} by {self.voter})"
+        statement = " ".join(
+            f"{f.name}={short_hex(v) if isinstance(v, bytes) else v}"
+            for f, v in zip(fields(self._statement_type), self._statement_fields(self))
         )
+        signers = f"by {self._signed_pair(self)[0]}" if isinstance(self, Signed) else f"x{self.signer_count}"
+        return f"{type(self).__name__}({statement} {signers})"
 
 
-@register(15)
-@dataclass(frozen=True)
-class QuorumCertificate:
-    """A quorum of votes for one block in one epoch/phase.
+def _kind(domain: str, signing_bytes: Callable[..., bytes], signer: str, pairs: str):
+    """Class decorator: a frozen statement dataclass of one kind.
+
+    ``signer`` / ``pairs`` name the signer-id field of the kind's signed
+    form and the pair-tuple field of its raw certificate (declared by the
+    registered classes: the names are part of the keyword API).  The
+    constants set here are plain class attributes, not ``ClassVar``
+    annotations: registered classes' type hints must name wire fields only.
+    """
+
+    def decorate(cls):
+        cls = dataclass(frozen=True, repr=False)(cls)
+        cls.DOMAIN = domain
+        cls._statement_type = cls
+        cls._signing_bytes = staticmethod(signing_bytes)
+        cls._statement_fields = attrgetter(*(f.name for f in fields(cls)))
+        cls._signed_pair = attrgetter(signer, "signature")
+        cls._pairs = attrgetter(pairs)
+        return cls
+
+    return decorate
+
+
+@_kind(VOTE_DOMAIN, vote_signing_bytes, signer="voter", pairs="votes")
+class VoteStatement(_Statement):
+    """A vote for a block hash in an epoch/phase.
 
     Certificates are ranked lexicographically by ``(epoch, height)``; the
     chain-selection and locking rules of every protocol here compare
@@ -163,72 +189,294 @@ class QuorumCertificate:
     epoch: int
     height: int
     block_hash: Digest
-    votes: Tuple[Tuple[int, bytes], ...]  # (voter id, signature), voter-sorted
 
     @property
     def rank(self) -> Tuple[int, int]:
         """Ordering key: (epoch, height)."""
         return (self.epoch, self.height)
 
+
+@_kind(BLAME_DOMAIN, blame_signing_bytes, signer="blamer", pairs="blames")
+class BlameStatement(_Statement):
+    """A statement that epoch ``epoch``'s leader failed."""
+
+    protocol: str
+    epoch: int
+
+
+@_kind(CHECKPOINT_DOMAIN, checkpoint_signing_bytes, signer="voter", pairs="votes")
+class CheckpointStatement(_Statement):
+    """An attestation that the ledger prefix up to ``height`` is committed
+    with cumulative digest ``state_digest``.
+
+    f+1 matching checkpoint votes prove at least one honest replica
+    committed that prefix, which (by agreement) makes it safe for every
+    replica — including a rejoining one — to adopt.  Unlike a quorum
+    certificate (which in AlterBFT certifies but does not commit —
+    commitment is a temporal 2Δ condition), a checkpoint certificate
+    *is* a commit proof: the protocol's only transferable one.
+    """
+
+    protocol: str
+    height: int
+    block_hash: Digest
+    state_digest: Digest
+
+
+@_kind(DELTA_ADJUST_DOMAIN, delta_adjust_signing_bytes, signer="proposer", pairs="adjusts")
+class DeltaAdjustStatement(_Statement):
+    """A proposal to switch the synchrony bound to a new ladder rung.
+
+    ``seq`` is the count of adjustments the proposer has already
+    installed, so a certificate for one rung switch cannot be replayed to
+    re-trigger it later (all correct replicas install in lockstep because
+    installs are certificate-driven).  ``rung`` is the target exponent on
+    the Δ ladder (effective Δ = ``base_delta * 2**rung``); agreeing on a
+    discrete rung rather than a raw float lets replicas with slightly
+    divergent local tail estimates still produce *matching* adjustments.
+
+    f+1 matching adjustments are authority to install the rung: they
+    include at least one honest replica whose local delay measurements
+    justified the switch, so Byzantine replicas alone can never move Δ.
+    Every correct replica installs the certified rung at its next epoch
+    boundary, making the switch atomic across the cluster (epoch entry is
+    itself synchronized within Δ by the blame machinery).
+    """
+
+    protocol: str
+    seq: int
+    rung: int
+
+
+# -- wire forms -----------------------------------------------------------------
+
+
+def _matching(items: Sequence["Signed"]) -> Tuple[Tuple[Any, ...], List[Tuple[int, bytes]]]:
+    """The statement ``items`` agree on, and their signer-sorted pairs."""
+    statement = items[0]._statement_fields(items[0])
+    divergent = any(item._statement_fields(item) != statement for item in items)
+    assert not divergent, "cannot combine divergent statements"
+    return statement, sorted(item._signed_pair(item) for item in items)
+
+
+class Signed:
+    """Wire form ``statement + (signer id, signature)``."""
+
+    @classmethod
+    def create(cls, signer: Signer, *args: Any, **kwargs: Any):
+        """Sign a statement given by its fields (in wire order or by name)."""
+        statement = cls._statement_fields(cls._statement_type(*args, **kwargs)) if kwargs else args
+        signature = signer.digest_and_sign(cls.DOMAIN, cls._signing_bytes(*statement))
+        return cls(*statement, signer.replica_id, signature)
+
+    def _verify_uncached(self, signer: Signer, quorum: int) -> bool:
+        signer_id, signature = self._signed_pair(self)
+        return signer.verify_digest(signer_id, self.DOMAIN, self.signing_bytes(), signature)
+
+
+class Certificate:
+    """A quorum of matching statements, in either certificate wire form:
+    ``signer_count``, ``signer_ids``, ``verify(signer, quorum)`` and the
+    ``signed_by_members(n)`` screen a receiver runs before key lookups."""
+
+
+class RawCert(Certificate):
+    """Wire form ``statement + ((signer id, signature), ...)``, signer-sorted."""
+
+    @classmethod
+    def build(cls, items: Sequence[Signed], signer: Optional[Signer] = None):
+        statement, pairs = _matching(items)
+        return cls(*statement, tuple(pairs))
+
     @property
     def signer_count(self) -> int:
-        """Number of distinct signers backing this certificate."""
-        return len(self.votes)
+        return len(self._pairs(self))
 
     @property
     def signer_ids(self) -> Tuple[int, ...]:
-        """Sorted replica ids of the signers."""
-        return tuple(voter for voter, _ in self.votes)
+        return tuple(signer_id for signer_id, _ in self._pairs(self))
 
-    @staticmethod
-    def from_votes(votes: Tuple[Vote, ...]) -> "QuorumCertificate":
-        """Aggregate votes (which must agree on all vote fields)."""
-        first = votes[0]
-        assert all(
-            (v.protocol, v.phase, v.epoch, v.height, v.block_hash)
-            == (first.protocol, first.phase, first.epoch, first.height, first.block_hash)
-            for v in votes
-        ), "cannot aggregate divergent votes"
-        pairs = tuple(sorted((v.voter, v.signature) for v in votes))
-        return QuorumCertificate(
-            protocol=first.protocol,
-            phase=first.phase,
-            epoch=first.epoch,
-            height=first.height,
-            block_hash=first.block_hash,
-            votes=pairs,
-        )
-
-    def verify(self, signer: Signer, quorum: int) -> bool:
-        """Check quorum size, voter distinctness, and every signature.
-
-        Memoized per (scheme, registry, quorum) on the certificate object
-        — see :meth:`Vote.verify` for why this is sound in-process.
-        """
-        memo = self.__dict__.get("_verify_memo")
-        if (
-            memo is not None
-            and memo[0] is signer.scheme
-            and memo[1] is signer.registry
-            and memo[2] == quorum
-        ):
-            return memo[3]
-        ok = self._verify_uncached(signer, quorum)
-        object.__setattr__(self, "_verify_memo", (signer.scheme, signer.registry, quorum, ok))
-        return ok
+    def signed_by_members(self, n: int) -> bool:
+        return all(isinstance(i, int) and 0 <= i < n for i, _ in self._pairs(self))
 
     def _verify_uncached(self, signer: Signer, quorum: int) -> bool:
-        voters = [voter for voter, _ in self.votes]
-        if len(set(voters)) != len(voters) or len(voters) < quorum:
+        """Quorum size, signer distinctness, then one batch check."""
+        pairs = self._pairs(self)
+        signer_ids = {signer_id for signer_id, _ in pairs}
+        if len(signer_ids) != len(pairs) or len(pairs) < quorum:
             return False
-        message = vote_signing_bytes(self.protocol, self.phase, self.epoch, self.height, self.block_hash)
-        return signer.batch_verify_digest(VOTE_DOMAIN, message, self.votes)
+        return signer.batch_verify_digest(self.DOMAIN, self.signing_bytes(), pairs)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"QC({self.protocol}/p{self.phase} e={self.epoch} h={self.height} "
-            f"{short_hex(self.block_hash)} x{len(self.votes)})"
+
+@dataclass(frozen=True, repr=False)
+class AggregateCert(Certificate):
+    """Wire form ``statement + signer_bits, agg_signature``.
+
+    The same proof as a :class:`RawCert`, in a smaller message (the
+    quantity AlterBFT's synchrony bet is calibrated against): one
+    aggregate signature plus a signer bitmap instead of f+1 raw pairs.
+    A replica built with ``crypto_aggregate`` disabled never emits one,
+    so the default wire traffic keeps the raw format.
+
+    Rogue-key safety lives in the scheme (see ``crypto/aggregate.py``):
+    per-signer challenges bind each public key individually, so a key
+    registered as a function of honest keys gains nothing.  On top of
+    that, the bitmap names the signer set explicitly and verification
+    resolves public keys through the shared registry — a certificate
+    cannot smuggle in an unregistered key at all.
+    """
+
+    signer_bits: int
+    agg_signature: bytes
+
+    @classmethod
+    def build(cls, items: Sequence[Signed], signer: Signer):
+        """Aggregate verified statements (``signer`` resolves public keys).
+
+        Callers verify the statements *before* aggregating — an invalid
+        input signature yields an aggregate that fails verification,
+        losing the attribution a per-statement check provides.
+        """
+        statement, pairs = _matching(items)
+        message = cls._signing_bytes(*statement)
+        return cls(
+            *statement,
+            pack_signer_bits(signer_id for signer_id, _ in pairs),
+            signer.aggregate_digest(cls.DOMAIN, message, pairs),
         )
+
+    @property
+    def signer_count(self) -> int:
+        return bin(self.signer_bits).count("1")
+
+    @property
+    def signer_ids(self) -> Tuple[int, ...]:
+        return unpack_signer_bits(self.signer_bits)
+
+    def signed_by_members(self, n: int) -> bool:
+        bits = self.signer_bits
+        return isinstance(bits, int) and 0 <= bits < 1 << n
+
+    def _verify_uncached(self, signer: Signer, quorum: int) -> bool:
+        signer_ids = self.signer_ids
+        if len(signer_ids) < quorum or self.signer_bits < 0:
+            return False
+        return signer.verify_aggregate_digest(
+            signer_ids, self.DOMAIN, self.signing_bytes(), self.agg_signature
+        )
+
+
+# -- registered wire classes ----------------------------------------------------
+
+
+def _wire(type_id: int):
+    """Class decorator: a frozen dataclass registered under ``type_id``."""
+    return lambda cls: register(type_id)(dataclass(frozen=True, repr=False)(cls))
+
+
+@_wire(14)
+class Vote(Signed, VoteStatement):
+    """A signed vote for a block hash in an epoch/phase."""
+
+    voter: int
+    signature: bytes
+
+    @classmethod
+    def create(cls, signer: Signer, protocol: str, epoch: int, height: int,
+               block_hash: Digest, phase: int = 0) -> "Vote":
+        """Sign a vote; ``phase`` comes last so single-phase callers omit it."""
+        return super().create(signer, protocol, phase, epoch, height, block_hash)
+
+
+@_wire(15)
+class QuorumCertificate(RawCert, VoteStatement):
+    """A quorum of votes for one block in one epoch/phase."""
+
+    votes: Tuple[Tuple[int, bytes], ...]  # (voter id, signature), voter-sorted
+
+
+@_wire(120)
+class AggregateQuorumCertificate(AggregateCert, VoteStatement):
+    """A quorum certificate carried as bitmap + aggregate signature."""
+
+
+@_wire(16)
+class Blame(Signed, BlameStatement):
+    """A signed statement that epoch ``epoch``'s leader failed."""
+
+    blamer: int
+    signature: bytes
+
+
+@_wire(17)
+class BlameCertificate(RawCert, BlameStatement):
+    """f+1 blames proving epoch ``epoch`` must be abandoned."""
+
+    blames: Tuple[Tuple[int, bytes], ...]  # (blamer id, signature), sorted
+
+
+@_wire(121)
+class AggregateBlameCertificate(AggregateCert, BlameStatement):
+    """A blame certificate carried as bitmap + aggregate signature."""
+
+
+@_wire(18)
+class CheckpointVote(Signed, CheckpointStatement):
+    """A signed checkpoint attestation (see :class:`CheckpointStatement`)."""
+
+    voter: int
+    signature: bytes
+
+
+@_wire(19)
+class CheckpointCertificate(RawCert, CheckpointStatement):
+    """f+1 matching checkpoint votes: a transferable commit proof."""
+
+    votes: Tuple[Tuple[int, bytes], ...]  # (voter id, signature), voter-sorted
+
+
+@_wire(122)
+class AggregateCheckpointCertificate(AggregateCert, CheckpointStatement):
+    """A checkpoint certificate carried as bitmap + aggregate signature."""
+
+
+@_wire(110)
+class DeltaAdjust(Signed, DeltaAdjustStatement):
+    """A signed Δ-adjustment proposal (see :class:`DeltaAdjustStatement`)."""
+
+    proposer: int
+    signature: bytes
+
+
+@_wire(111)
+class DeltaAdjustCertificate(RawCert, DeltaAdjustStatement):
+    """f+1 matching Δ-adjustments: authority to install a new ladder rung."""
+
+    adjusts: Tuple[Tuple[int, bytes], ...]  # (proposer id, signature), sorted
+
+
+@_wire(123)
+class AggregateDeltaAdjustCertificate(AggregateCert, DeltaAdjustStatement):
+    """A Δ-adjust certificate carried as bitmap + aggregate signature."""
+
+
+#: Signed form → (raw, aggregate) certificate forms of the same kind.
+_CERT_FORMS = {
+    Vote: (QuorumCertificate, AggregateQuorumCertificate),
+    Blame: (BlameCertificate, AggregateBlameCertificate),
+    CheckpointVote: (CheckpointCertificate, AggregateCheckpointCertificate),
+    DeltaAdjust: (DeltaAdjustCertificate, AggregateDeltaAdjustCertificate),
+}
+
+
+def certify(items: Sequence[Signed], signer: Signer, aggregate: bool) -> Certificate:
+    """Combine matching signed statements into a certificate.
+
+    ``aggregate`` (``ProtocolConfig.crypto_aggregate``) picks the wire
+    form: bitmap + aggregate signature, or the raw signature list.
+    """
+    raw, agg = _CERT_FORMS[type(items[0])]
+    return agg.build(items, signer) if aggregate else raw.build(items)
 
 
 def genesis_qc(protocol: str, block_hash: Digest) -> QuorumCertificate:
@@ -237,9 +485,7 @@ def genesis_qc(protocol: str, block_hash: Digest) -> QuorumCertificate:
     It has rank ``(0, 0)``, below every real certificate, and is accepted
     without signatures by convention.
     """
-    return QuorumCertificate(
-        protocol=protocol, phase=0, epoch=0, height=0, block_hash=block_hash, votes=()
-    )
+    return QuorumCertificate(protocol, 0, 0, 0, block_hash, ())
 
 
 def is_genesis_qc(qc: "AnyQuorumCert") -> bool:
@@ -247,632 +493,8 @@ def is_genesis_qc(qc: "AnyQuorumCert") -> bool:
     return qc.epoch == 0 and qc.height == 0 and qc.signer_count == 0
 
 
-@register(16)
-@dataclass(frozen=True)
-class Blame:
-    """A signed statement that epoch ``epoch``'s leader failed."""
-
-    protocol: str
-    epoch: int
-    blamer: int
-    signature: bytes
-
-    @staticmethod
-    def create(signer: Signer, protocol: str, epoch: int) -> "Blame":
-        message = blame_signing_bytes(protocol, epoch)
-        return Blame(
-            protocol=protocol,
-            epoch=epoch,
-            blamer=signer.replica_id,
-            signature=signer.digest_and_sign(BLAME_DOMAIN, message),
-        )
-
-    def verify(self, signer: Signer) -> bool:
-        message = blame_signing_bytes(self.protocol, self.epoch)
-        return signer.verify_digest(self.blamer, BLAME_DOMAIN, message, self.signature)
-
-
-@register(17)
-@dataclass(frozen=True)
-class BlameCertificate:
-    """f+1 blames proving epoch ``epoch`` must be abandoned."""
-
-    protocol: str
-    epoch: int
-    blames: Tuple[Tuple[int, bytes], ...]  # (blamer id, signature), sorted
-
-    @staticmethod
-    def from_blames(blames: Tuple[Blame, ...]) -> "BlameCertificate":
-        first = blames[0]
-        assert all((b.protocol, b.epoch) == (first.protocol, first.epoch) for b in blames)
-        pairs = tuple(sorted((b.blamer, b.signature) for b in blames))
-        return BlameCertificate(protocol=first.protocol, epoch=first.epoch, blames=pairs)
-
-    @property
-    def signer_count(self) -> int:
-        return len(self.blames)
-
-    @property
-    def signer_ids(self) -> Tuple[int, ...]:
-        return tuple(blamer for blamer, _ in self.blames)
-
-    def verify(self, signer: Signer, quorum: int) -> bool:
-        memo = self.__dict__.get("_verify_memo")
-        if (
-            memo is not None
-            and memo[0] is signer.scheme
-            and memo[1] is signer.registry
-            and memo[2] == quorum
-        ):
-            return memo[3]
-        ok = self._verify_uncached(signer, quorum)
-        object.__setattr__(self, "_verify_memo", (signer.scheme, signer.registry, quorum, ok))
-        return ok
-
-    def _verify_uncached(self, signer: Signer, quorum: int) -> bool:
-        blamers = [blamer for blamer, _ in self.blames]
-        if len(set(blamers)) != len(blamers) or len(blamers) < quorum:
-            return False
-        message = blame_signing_bytes(self.protocol, self.epoch)
-        return signer.batch_verify_digest(BLAME_DOMAIN, message, self.blames)
-
-
-@lru_cache(maxsize=1024)
-def checkpoint_signing_bytes(protocol: str, height: int, block_hash: Digest, state_digest: Digest) -> bytes:
-    """Canonical bytes a checkpoint-vote signature covers (memoized)."""
-    return encode((protocol, height, block_hash, state_digest))
-
-
-@register(18)
-@dataclass(frozen=True)
-class CheckpointVote:
-    """A signed attestation that the ledger prefix up to ``height`` is
-    committed with cumulative digest ``state_digest``.
-
-    f+1 matching checkpoint votes prove at least one honest replica
-    committed that prefix, which (by agreement) makes it safe for every
-    replica — including a rejoining one — to adopt.
-    """
-
-    protocol: str
-    height: int
-    block_hash: Digest
-    state_digest: Digest
-    voter: int
-    signature: bytes
-
-    @staticmethod
-    def create(
-        signer: Signer,
-        protocol: str,
-        height: int,
-        block_hash: Digest,
-        state_digest: Digest,
-    ) -> "CheckpointVote":
-        message = checkpoint_signing_bytes(protocol, height, block_hash, state_digest)
-        return CheckpointVote(
-            protocol=protocol,
-            height=height,
-            block_hash=block_hash,
-            state_digest=state_digest,
-            voter=signer.replica_id,
-            signature=signer.digest_and_sign(CHECKPOINT_DOMAIN, message),
-        )
-
-    def verify(self, signer: Signer) -> bool:
-        memo = self.__dict__.get("_verify_memo")
-        if (
-            memo is not None
-            and memo[0] is signer.scheme
-            and memo[1] is signer.registry
-        ):
-            return memo[2]
-        message = checkpoint_signing_bytes(self.protocol, self.height, self.block_hash, self.state_digest)
-        ok = signer.verify_digest(self.voter, CHECKPOINT_DOMAIN, message, self.signature)
-        object.__setattr__(self, "_verify_memo", (signer.scheme, signer.registry, ok))
-        return ok
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CheckpointVote({self.protocol} h={self.height} "
-            f"{short_hex(self.block_hash)} by {self.voter})"
-        )
-
-
-@register(19)
-@dataclass(frozen=True)
-class CheckpointCertificate:
-    """f+1 matching checkpoint votes: a transferable commit proof for a
-    ledger prefix.
-
-    Unlike a :class:`QuorumCertificate` (which in AlterBFT certifies but
-    does not commit — commitment is a temporal 2Δ condition), a
-    checkpoint certificate *is* a commit proof: f+1 signers include at
-    least one honest replica that committed the prefix.
-    """
-
-    protocol: str
-    height: int
-    block_hash: Digest
-    state_digest: Digest
-    votes: Tuple[Tuple[int, bytes], ...]  # (voter id, signature), voter-sorted
-
-    @staticmethod
-    def from_votes(votes: Tuple[CheckpointVote, ...]) -> "CheckpointCertificate":
-        first = votes[0]
-        assert all(
-            (v.protocol, v.height, v.block_hash, v.state_digest)
-            == (first.protocol, first.height, first.block_hash, first.state_digest)
-            for v in votes
-        ), "cannot aggregate divergent checkpoint votes"
-        pairs = tuple(sorted((v.voter, v.signature) for v in votes))
-        return CheckpointCertificate(
-            protocol=first.protocol,
-            height=first.height,
-            block_hash=first.block_hash,
-            state_digest=first.state_digest,
-            votes=pairs,
-        )
-
-    @property
-    def signer_count(self) -> int:
-        return len(self.votes)
-
-    @property
-    def signer_ids(self) -> Tuple[int, ...]:
-        return tuple(voter for voter, _ in self.votes)
-
-    def verify(self, signer: Signer, quorum: int) -> bool:
-        memo = self.__dict__.get("_verify_memo")
-        if (
-            memo is not None
-            and memo[0] is signer.scheme
-            and memo[1] is signer.registry
-            and memo[2] == quorum
-        ):
-            return memo[3]
-        ok = self._verify_uncached(signer, quorum)
-        object.__setattr__(self, "_verify_memo", (signer.scheme, signer.registry, quorum, ok))
-        return ok
-
-    def _verify_uncached(self, signer: Signer, quorum: int) -> bool:
-        voters = [voter for voter, _ in self.votes]
-        if len(set(voters)) != len(voters) or len(voters) < quorum:
-            return False
-        message = checkpoint_signing_bytes(self.protocol, self.height, self.block_hash, self.state_digest)
-        return signer.batch_verify_digest(CHECKPOINT_DOMAIN, message, self.votes)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CheckpointCert({self.protocol} h={self.height} "
-            f"{short_hex(self.block_hash)} x{len(self.votes)})"
-        )
-
-
-@lru_cache(maxsize=1024)
-def delta_adjust_signing_bytes(protocol: str, seq: int, rung: int) -> bytes:
-    """Canonical bytes a Δ-adjustment signature covers (memoized).
-
-    ``seq`` is the count of adjustments the proposer has already
-    installed, so a certificate for one rung switch cannot be replayed to
-    re-trigger it later; ``rung`` is the target exponent on the Δ ladder
-    (effective Δ = ``base_delta * 2**rung``).  Agreeing on a discrete rung
-    rather than a raw float lets replicas with slightly divergent local
-    tail estimates still produce *matching* adjustments.
-    """
-    return encode((protocol, seq, rung))
-
-
-@lru_cache(maxsize=4096)
-def guard_probe_signing_bytes(protocol: str, sender: int, seq: int) -> bytes:
-    """Canonical bytes a guard-probe signature covers (memoized)."""
-    return encode((protocol, sender, seq))
-
-
-@register(110)
-@dataclass(frozen=True)
-class DeltaAdjust:
-    """A signed proposal to switch the synchrony bound to a new ladder rung.
-
-    Attributes:
-        protocol: short protocol name the adjustment belongs to.
-        seq: number of adjustments the proposer has installed so far
-            (replay protection; all correct replicas install in lockstep
-            because installs are certificate-driven).
-        rung: proposed ladder rung; effective Δ = ``delta * 2**rung``.
-        proposer: replica id of the signer.
-        signature: signature over :func:`delta_adjust_signing_bytes`.
-    """
-
-    protocol: str
-    seq: int
-    rung: int
-    proposer: int
-    signature: bytes
-
-    @staticmethod
-    def create(signer: Signer, protocol: str, seq: int, rung: int) -> "DeltaAdjust":
-        message = delta_adjust_signing_bytes(protocol, seq, rung)
-        return DeltaAdjust(
-            protocol=protocol,
-            seq=seq,
-            rung=rung,
-            proposer=signer.replica_id,
-            signature=signer.digest_and_sign(DELTA_ADJUST_DOMAIN, message),
-        )
-
-    def verify(self, signer: Signer) -> bool:
-        memo = self.__dict__.get("_verify_memo")
-        if (
-            memo is not None
-            and memo[0] is signer.scheme
-            and memo[1] is signer.registry
-        ):
-            return memo[2]
-        message = delta_adjust_signing_bytes(self.protocol, self.seq, self.rung)
-        ok = signer.verify_digest(self.proposer, DELTA_ADJUST_DOMAIN, message, self.signature)
-        object.__setattr__(self, "_verify_memo", (signer.scheme, signer.registry, ok))
-        return ok
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"DeltaAdjust({self.protocol} seq={self.seq} rung={self.rung} by {self.proposer})"
-
-
-@register(111)
-@dataclass(frozen=True)
-class DeltaAdjustCertificate:
-    """f+1 matching Δ-adjustments: authority to install a new ladder rung.
-
-    f+1 signers include at least one honest replica whose local delay
-    measurements justified the switch, so Byzantine replicas alone can
-    never move Δ.  Every correct replica installs the certified rung at
-    its next epoch boundary, making the switch atomic across the cluster
-    (epoch entry is itself synchronized within Δ by the blame machinery).
-    """
-
-    protocol: str
-    seq: int
-    rung: int
-    adjusts: Tuple[Tuple[int, bytes], ...]  # (proposer id, signature), sorted
-
-    @staticmethod
-    def from_adjusts(adjusts: Tuple[DeltaAdjust, ...]) -> "DeltaAdjustCertificate":
-        first = adjusts[0]
-        assert all(
-            (a.protocol, a.seq, a.rung) == (first.protocol, first.seq, first.rung)
-            for a in adjusts
-        ), "cannot aggregate divergent delta adjustments"
-        pairs = tuple(sorted((a.proposer, a.signature) for a in adjusts))
-        return DeltaAdjustCertificate(
-            protocol=first.protocol, seq=first.seq, rung=first.rung, adjusts=pairs
-        )
-
-    @property
-    def signer_count(self) -> int:
-        return len(self.adjusts)
-
-    @property
-    def signer_ids(self) -> Tuple[int, ...]:
-        return tuple(proposer for proposer, _ in self.adjusts)
-
-    def verify(self, signer: Signer, quorum: int) -> bool:
-        memo = self.__dict__.get("_verify_memo")
-        if (
-            memo is not None
-            and memo[0] is signer.scheme
-            and memo[1] is signer.registry
-            and memo[2] == quorum
-        ):
-            return memo[3]
-        ok = self._verify_uncached(signer, quorum)
-        object.__setattr__(self, "_verify_memo", (signer.scheme, signer.registry, quorum, ok))
-        return ok
-
-    def _verify_uncached(self, signer: Signer, quorum: int) -> bool:
-        proposers = [proposer for proposer, _ in self.adjusts]
-        if len(set(proposers)) != len(proposers) or len(proposers) < quorum:
-            return False
-        message = delta_adjust_signing_bytes(self.protocol, self.seq, self.rung)
-        return signer.batch_verify_digest(DELTA_ADJUST_DOMAIN, message, self.adjusts)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"DeltaAdjustCert({self.protocol} seq={self.seq} rung={self.rung} "
-            f"x{len(self.adjusts)})"
-        )
-
-
-# -- aggregate certificate variants -------------------------------------------
-#
-# Each of the four certificates above has an aggregate twin carrying one
-# aggregate signature plus a signer bitmap instead of f+1 raw (id, sig)
-# pairs — the same proof, in a smaller message (the quantity AlterBFT's
-# synchrony bet is calibrated against).  The aggregate variants are
-# separate codec-registered wire types: a replica built with
-# ``crypto_aggregate`` disabled never emits (or even constructs) one, so
-# the default wire traffic is byte-identical to the pre-aggregation
-# format.  Verification duck-types with the plain certificates —
-# ``rank`` / ``signer_count`` / ``signer_ids`` / ``verify(signer,
-# quorum)`` — so chain logic handles either form without branching.
-#
-# Rogue-key safety lives in the scheme (see ``crypto/aggregate.py``):
-# per-signer challenges bind each public key individually, so a key
-# registered as a function of honest keys gains nothing.  On top of
-# that, the bitmap names the signer set explicitly and verification
-# resolves public keys through the shared registry — a certificate
-# cannot smuggle in an unregistered key at all.
-
-
-@register(120)
-@dataclass(frozen=True)
-class AggregateQuorumCertificate:
-    """A :class:`QuorumCertificate` carried as bitmap + aggregate signature."""
-
-    protocol: str
-    phase: int
-    epoch: int
-    height: int
-    block_hash: Digest
-    signer_bits: int
-    agg_signature: bytes
-
-    @property
-    def rank(self) -> Tuple[int, int]:
-        """Ordering key: (epoch, height)."""
-        return (self.epoch, self.height)
-
-    @property
-    def signer_count(self) -> int:
-        return bin(self.signer_bits).count("1")
-
-    @property
-    def signer_ids(self) -> Tuple[int, ...]:
-        return unpack_signer_bits(self.signer_bits)
-
-    @staticmethod
-    def from_votes(votes: Tuple[Vote, ...], signer: Signer) -> "AggregateQuorumCertificate":
-        """Aggregate verified votes (which must agree on all vote fields).
-
-        Needs a :class:`Signer` to resolve voter ids to public keys for
-        the aggregation transcript.  Callers verify votes *before*
-        aggregating — an invalid input signature yields an aggregate that
-        fails verification, losing the attribution a vote-level check
-        provides.
-        """
-        first = votes[0]
-        assert all(
-            (v.protocol, v.phase, v.epoch, v.height, v.block_hash)
-            == (first.protocol, first.phase, first.epoch, first.height, first.block_hash)
-            for v in votes
-        ), "cannot aggregate divergent votes"
-        pairs = sorted((v.voter, v.signature) for v in votes)
-        message = vote_signing_bytes(first.protocol, first.phase, first.epoch, first.height, first.block_hash)
-        return AggregateQuorumCertificate(
-            protocol=first.protocol,
-            phase=first.phase,
-            epoch=first.epoch,
-            height=first.height,
-            block_hash=first.block_hash,
-            signer_bits=pack_signer_bits(voter for voter, _ in pairs),
-            agg_signature=signer.aggregate_digest(VOTE_DOMAIN, message, pairs),
-        )
-
-    def verify(self, signer: Signer, quorum: int) -> bool:
-        """Check quorum size and the aggregate signature (memoized)."""
-        memo = self.__dict__.get("_verify_memo")
-        if (
-            memo is not None
-            and memo[0] is signer.scheme
-            and memo[1] is signer.registry
-            and memo[2] == quorum
-        ):
-            return memo[3]
-        ok = self._verify_uncached(signer, quorum)
-        object.__setattr__(self, "_verify_memo", (signer.scheme, signer.registry, quorum, ok))
-        return ok
-
-    def _verify_uncached(self, signer: Signer, quorum: int) -> bool:
-        signer_ids = self.signer_ids
-        if len(signer_ids) < quorum or self.signer_bits < 0:
-            return False
-        message = vote_signing_bytes(self.protocol, self.phase, self.epoch, self.height, self.block_hash)
-        return signer.verify_aggregate_digest(signer_ids, VOTE_DOMAIN, message, self.agg_signature)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"AggQC({self.protocol}/p{self.phase} e={self.epoch} h={self.height} "
-            f"{short_hex(self.block_hash)} x{self.signer_count})"
-        )
-
-
-@register(121)
-@dataclass(frozen=True)
-class AggregateBlameCertificate:
-    """A :class:`BlameCertificate` carried as bitmap + aggregate signature."""
-
-    protocol: str
-    epoch: int
-    signer_bits: int
-    agg_signature: bytes
-
-    @property
-    def signer_count(self) -> int:
-        return bin(self.signer_bits).count("1")
-
-    @property
-    def signer_ids(self) -> Tuple[int, ...]:
-        return unpack_signer_bits(self.signer_bits)
-
-    @staticmethod
-    def from_blames(blames: Tuple[Blame, ...], signer: Signer) -> "AggregateBlameCertificate":
-        first = blames[0]
-        assert all((b.protocol, b.epoch) == (first.protocol, first.epoch) for b in blames)
-        pairs = sorted((b.blamer, b.signature) for b in blames)
-        message = blame_signing_bytes(first.protocol, first.epoch)
-        return AggregateBlameCertificate(
-            protocol=first.protocol,
-            epoch=first.epoch,
-            signer_bits=pack_signer_bits(blamer for blamer, _ in pairs),
-            agg_signature=signer.aggregate_digest(BLAME_DOMAIN, message, pairs),
-        )
-
-    def verify(self, signer: Signer, quorum: int) -> bool:
-        memo = self.__dict__.get("_verify_memo")
-        if (
-            memo is not None
-            and memo[0] is signer.scheme
-            and memo[1] is signer.registry
-            and memo[2] == quorum
-        ):
-            return memo[3]
-        ok = self._verify_uncached(signer, quorum)
-        object.__setattr__(self, "_verify_memo", (signer.scheme, signer.registry, quorum, ok))
-        return ok
-
-    def _verify_uncached(self, signer: Signer, quorum: int) -> bool:
-        signer_ids = self.signer_ids
-        if len(signer_ids) < quorum or self.signer_bits < 0:
-            return False
-        message = blame_signing_bytes(self.protocol, self.epoch)
-        return signer.verify_aggregate_digest(signer_ids, BLAME_DOMAIN, message, self.agg_signature)
-
-
-@register(122)
-@dataclass(frozen=True)
-class AggregateCheckpointCertificate:
-    """A :class:`CheckpointCertificate` carried as bitmap + aggregate signature."""
-
-    protocol: str
-    height: int
-    block_hash: Digest
-    state_digest: Digest
-    signer_bits: int
-    agg_signature: bytes
-
-    @property
-    def signer_count(self) -> int:
-        return bin(self.signer_bits).count("1")
-
-    @property
-    def signer_ids(self) -> Tuple[int, ...]:
-        return unpack_signer_bits(self.signer_bits)
-
-    @staticmethod
-    def from_votes(
-        votes: Tuple[CheckpointVote, ...], signer: Signer
-    ) -> "AggregateCheckpointCertificate":
-        first = votes[0]
-        assert all(
-            (v.protocol, v.height, v.block_hash, v.state_digest)
-            == (first.protocol, first.height, first.block_hash, first.state_digest)
-            for v in votes
-        ), "cannot aggregate divergent checkpoint votes"
-        pairs = sorted((v.voter, v.signature) for v in votes)
-        message = checkpoint_signing_bytes(first.protocol, first.height, first.block_hash, first.state_digest)
-        return AggregateCheckpointCertificate(
-            protocol=first.protocol,
-            height=first.height,
-            block_hash=first.block_hash,
-            state_digest=first.state_digest,
-            signer_bits=pack_signer_bits(voter for voter, _ in pairs),
-            agg_signature=signer.aggregate_digest(CHECKPOINT_DOMAIN, message, pairs),
-        )
-
-    def verify(self, signer: Signer, quorum: int) -> bool:
-        memo = self.__dict__.get("_verify_memo")
-        if (
-            memo is not None
-            and memo[0] is signer.scheme
-            and memo[1] is signer.registry
-            and memo[2] == quorum
-        ):
-            return memo[3]
-        ok = self._verify_uncached(signer, quorum)
-        object.__setattr__(self, "_verify_memo", (signer.scheme, signer.registry, quorum, ok))
-        return ok
-
-    def _verify_uncached(self, signer: Signer, quorum: int) -> bool:
-        signer_ids = self.signer_ids
-        if len(signer_ids) < quorum or self.signer_bits < 0:
-            return False
-        message = checkpoint_signing_bytes(self.protocol, self.height, self.block_hash, self.state_digest)
-        return signer.verify_aggregate_digest(signer_ids, CHECKPOINT_DOMAIN, message, self.agg_signature)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"AggCheckpointCert({self.protocol} h={self.height} "
-            f"{short_hex(self.block_hash)} x{self.signer_count})"
-        )
-
-
-@register(123)
-@dataclass(frozen=True)
-class AggregateDeltaAdjustCertificate:
-    """A :class:`DeltaAdjustCertificate` carried as bitmap + aggregate signature."""
-
-    protocol: str
-    seq: int
-    rung: int
-    signer_bits: int
-    agg_signature: bytes
-
-    @property
-    def signer_count(self) -> int:
-        return bin(self.signer_bits).count("1")
-
-    @property
-    def signer_ids(self) -> Tuple[int, ...]:
-        return unpack_signer_bits(self.signer_bits)
-
-    @staticmethod
-    def from_adjusts(
-        adjusts: Tuple[DeltaAdjust, ...], signer: Signer
-    ) -> "AggregateDeltaAdjustCertificate":
-        first = adjusts[0]
-        assert all(
-            (a.protocol, a.seq, a.rung) == (first.protocol, first.seq, first.rung)
-            for a in adjusts
-        ), "cannot aggregate divergent delta adjustments"
-        pairs = sorted((a.proposer, a.signature) for a in adjusts)
-        message = delta_adjust_signing_bytes(first.protocol, first.seq, first.rung)
-        return AggregateDeltaAdjustCertificate(
-            protocol=first.protocol,
-            seq=first.seq,
-            rung=first.rung,
-            signer_bits=pack_signer_bits(proposer for proposer, _ in pairs),
-            agg_signature=signer.aggregate_digest(DELTA_ADJUST_DOMAIN, message, pairs),
-        )
-
-    def verify(self, signer: Signer, quorum: int) -> bool:
-        memo = self.__dict__.get("_verify_memo")
-        if (
-            memo is not None
-            and memo[0] is signer.scheme
-            and memo[1] is signer.registry
-            and memo[2] == quorum
-        ):
-            return memo[3]
-        ok = self._verify_uncached(signer, quorum)
-        object.__setattr__(self, "_verify_memo", (signer.scheme, signer.registry, quorum, ok))
-        return ok
-
-    def _verify_uncached(self, signer: Signer, quorum: int) -> bool:
-        signer_ids = self.signer_ids
-        if len(signer_ids) < quorum or self.signer_bits < 0:
-            return False
-        message = delta_adjust_signing_bytes(self.protocol, self.seq, self.rung)
-        return signer.verify_aggregate_digest(signer_ids, DELTA_ADJUST_DOMAIN, message, self.agg_signature)
-
-
-#: Either wire form of a quorum certificate; chain logic duck-types over
-#: ``rank`` / ``signer_count`` / ``signer_ids`` / ``verify``.
+#: Either wire form of each certificate kind (message field annotations).
 AnyQuorumCert = Union[QuorumCertificate, AggregateQuorumCertificate]
-
-#: Either wire form of a blame certificate.
 AnyBlameCert = Union[BlameCertificate, AggregateBlameCertificate]
-
-#: Either wire form of a checkpoint certificate.
 AnyCheckpointCert = Union[CheckpointCertificate, AggregateCheckpointCertificate]
-
-#: Either wire form of a Δ-adjust certificate.
 AnyDeltaAdjustCert = Union[DeltaAdjustCertificate, AggregateDeltaAdjustCertificate]

@@ -57,7 +57,7 @@ def qc_over(signers, block, phase=0):
         Vote.create(s, "alterbft", block.epoch, block.height, block.block_hash, phase=phase)
         for s in signers
     )
-    return QuorumCertificate.from_votes(votes)
+    return QuorumCertificate.build(votes)
 
 
 def gen_qc(replica):
@@ -194,7 +194,7 @@ class TestEquivocation:
         replica.handle(1, h1)
         qc1 = qc_over(signers[:2], b1)
         # Epoch 2: anchor X extends qc1 (height 2)...
-        cert = BlameCertificate.from_blames(
+        cert = BlameCertificate.build(
             tuple(Blame.create(s, "alterbft", 1) for s in signers[:2])
         )
         replica.handle(1, BlameCertMsg(cert=cert))
@@ -279,7 +279,7 @@ class TestCommit:
     def test_no_commit_after_blame_cert(self, setup):
         replica, ctx, signers = setup
         self.commit_block(replica, ctx, signers)
-        cert = BlameCertificate.from_blames(
+        cert = BlameCertificate.build(
             tuple(Blame.create(s, "alterbft", 1) for s in signers[:2])
         )
         replica.handle(2, BlameCertMsg(cert=cert))
@@ -307,7 +307,7 @@ class TestCommit:
 class TestEpochChange:
     def test_blame_cert_quits_epoch(self, setup):
         replica, ctx, signers = setup
-        cert = BlameCertificate.from_blames(
+        cert = BlameCertificate.build(
             tuple(Blame.create(s, "alterbft", 1) for s in signers[:2])
         )
         replica.handle(2, BlameCertMsg(cert=cert))
@@ -346,7 +346,7 @@ class TestEpochChange:
         h_future, p_future, _ = make_proposal(signers[2], 2, 2, qc1, seq=30)
         replica.handle(2, h_future)
         assert not replica.store.has_header(h_future.header.block_hash)
-        cert = BlameCertificate.from_blames(
+        cert = BlameCertificate.build(
             tuple(Blame.create(s, "alterbft", 1) for s in signers[:2])
         )
         replica.handle(2, BlameCertMsg(cert=cert))
@@ -362,7 +362,7 @@ class TestEpochChange:
         qc1 = qc_over(signers[:2], b1)
         replica.handle(1, VoteMsg(vote=Vote.create(signers[1], "alterbft", 1, 1, b1.block_hash)))
         assert replica.high_qc.rank == (1, 1)
-        cert = BlameCertificate.from_blames(
+        cert = BlameCertificate.build(
             tuple(Blame.create(s, "alterbft", 1) for s in signers[:2])
         )
         replica.handle(2, BlameCertMsg(cert=cert))

@@ -56,13 +56,13 @@ class TestDeltaAdjustTypes:
         adjusts = tuple(
             DeltaAdjust.create(signers[i], "alterbft", seq=0, rung=1) for i in (0, 2)
         )
-        cert = DeltaAdjustCertificate.from_adjusts(adjusts)
+        cert = DeltaAdjustCertificate.build(adjusts)
         assert cert.verify(signers[1], quorum=2)
         assert decode(encode(cert)) == cert
 
     def test_certificate_below_quorum_rejected(self):
         signers = build_cluster_keys("hashsig", 3)
-        cert = DeltaAdjustCertificate.from_adjusts(
+        cert = DeltaAdjustCertificate.build(
             (DeltaAdjust.create(signers[0], "alterbft", seq=0, rung=1),)
         )
         assert not cert.verify(signers[1], quorum=2)
@@ -81,7 +81,7 @@ class TestDeltaAdjustTypes:
     def test_divergent_adjusts_cannot_aggregate(self):
         signers = build_cluster_keys("hashsig", 3)
         with pytest.raises(AssertionError):
-            DeltaAdjustCertificate.from_adjusts(
+            DeltaAdjustCertificate.build(
                 (
                     DeltaAdjust.create(signers[0], "alterbft", seq=0, rung=1),
                     DeltaAdjust.create(signers[1], "alterbft", seq=0, rung=2),
@@ -217,7 +217,7 @@ class TestMonitorRecalibration:
     def test_certificate_installs_at_epoch_boundary(self):
         replica, ctx, signers = guarded_replica(replica_id=0)
         guard = replica.guard
-        cert = DeltaAdjustCertificate.from_adjusts(
+        cert = DeltaAdjustCertificate.build(
             tuple(
                 DeltaAdjust.create(signers[i], "alterbft", seq=0, rung=2)
                 for i in (1, 2)
@@ -236,7 +236,7 @@ class TestMonitorRecalibration:
 
     def test_invalid_certificate_rejected(self):
         replica, _, signers = guarded_replica(replica_id=0)
-        cert = DeltaAdjustCertificate.from_adjusts(
+        cert = DeltaAdjustCertificate.build(
             (DeltaAdjust.create(signers[1], "alterbft", seq=0, rung=1),)
         )
         with pytest.raises(VerificationError):

@@ -43,7 +43,7 @@ def qc_over(signers, block, view=None):
     votes = tuple(
         Vote.create(s, "hotstuff", view, block.height, block.block_hash) for s in signers
     )
-    return QuorumCertificate.from_votes(votes)
+    return QuorumCertificate.build(votes)
 
 
 def gen_qc(replica):

@@ -182,10 +182,10 @@ class TestViewChange:
     def test_derive_reproposals_truncates_at_gap(self, signers4):
         b1 = make_block(1, 1, genesis_block().block_hash, (), 1)
         b3 = make_block(1, 3, b"\x07" * 32, (), 1)
-        qc1 = QuorumCertificate.from_votes(
+        qc1 = QuorumCertificate.build(
             tuple(vote(s, 1, 1, b1.block_hash, PREPARE_PHASE) for s in signers4[:3])
         )
-        qc3 = QuorumCertificate.from_votes(
+        qc3 = QuorumCertificate.build(
             tuple(vote(s, 1, 3, b3.block_hash, PREPARE_PHASE) for s in signers4[:3])
         )
         vc = PBFTViewChangeMsg(
@@ -203,10 +203,10 @@ class TestViewChange:
     def test_derive_reproposals_prefers_higher_view(self, signers4):
         b_old = make_block(1, 1, genesis_block().block_hash, (), 1)
         b_new = make_block(2, 1, genesis_block().block_hash, (), 2)
-        qc_old = QuorumCertificate.from_votes(
+        qc_old = QuorumCertificate.build(
             tuple(vote(s, 1, 1, b_old.block_hash, PREPARE_PHASE) for s in signers4[:3])
         )
-        qc_new = QuorumCertificate.from_votes(
+        qc_new = QuorumCertificate.build(
             tuple(vote(s, 2, 1, b_new.block_hash, PREPARE_PHASE) for s in signers4[:3])
         )
         vc1 = PBFTViewChangeMsg(0, 3, 0, None, ((1, qc_old, b_old),), b"")

@@ -208,7 +208,7 @@ class TestPipelinedLeader:
         b1 = _headers(ctx)[0]
         _vote_for(replica, ctx, signers[0], 1, b1.block_hash)
         assert len(replica._inflight) == 4
-        cert = BlameCertificate.from_blames(
+        cert = BlameCertificate.build(
             tuple(Blame.create(s, "alterbft", 1) for s in signers[:2])
         )
         replica.handle(2, BlameCertMsg(cert=cert))

@@ -94,13 +94,13 @@ class TestVotesAndQCs:
         votes = tuple(
             Vote.create(s, "alterbft", 1, 1, b"\x09" * 32) for s in signers3[:2]
         )
-        qc = QuorumCertificate.from_votes(votes)
+        qc = QuorumCertificate.build(votes)
         assert qc.verify(signers3[2], quorum=2)
         assert qc.rank == (1, 1)
 
     def test_qc_below_quorum_rejected(self, signers3):
         votes = (Vote.create(signers3[0], "alterbft", 1, 1, b"\x09" * 32),)
-        qc = QuorumCertificate.from_votes(votes)
+        qc = QuorumCertificate.build(votes)
         assert not qc.verify(signers3[1], quorum=2)
 
     def test_qc_duplicate_voters_rejected(self, signers3):
@@ -117,7 +117,7 @@ class TestVotesAndQCs:
 
     def test_qc_forged_signature_rejected(self, signers3):
         votes = tuple(Vote.create(s, "alterbft", 1, 1, b"\x09" * 32) for s in signers3[:2])
-        qc = QuorumCertificate.from_votes(votes)
+        qc = QuorumCertificate.build(votes)
         forged = QuorumCertificate(
             protocol=qc.protocol,
             phase=qc.phase,
@@ -151,7 +151,7 @@ class TestBlames:
 
     def test_blame_cert(self, signers3):
         blames = tuple(Blame.create(s, "alterbft", 4) for s in signers3[:2])
-        cert = BlameCertificate.from_blames(blames)
+        cert = BlameCertificate.build(blames)
         assert cert.verify(signers3[2], quorum=2)
         assert not cert.verify(signers3[2], quorum=3)
 

@@ -8,6 +8,10 @@ to a golden value.
 
 from __future__ import annotations
 
+import hashlib
+
+import pytest
+
 from repro.codec import decode, encode, registered_type_id
 from repro.crypto.erasure import encode_shares
 from repro.crypto.keystore import build_cluster_keys
@@ -20,8 +24,10 @@ from repro.types.certificates import (
     AggregateQuorumCertificate,
     Blame,
     BlameCertificate,
+    CheckpointCertificate,
     CheckpointVote,
     DeltaAdjust,
+    DeltaAdjustCertificate,
     QuorumCertificate,
     Vote,
 )
@@ -66,6 +72,8 @@ EXPECTED_IDS = {
     QuorumCertificate: 15,
     Blame: 16,
     BlameCertificate: 17,
+    CheckpointVote: 18,
+    CheckpointCertificate: 19,
     ProposalHeaderMsg: 20,
     PayloadMsg: 21,
     VoteMsg: 23,
@@ -93,6 +101,8 @@ EXPECTED_IDS = {
     ProbeAckMsg: 101,
     ClientRequestMsg: 102,
     ClientReplyMsg: 103,
+    DeltaAdjust: 110,
+    DeltaAdjustCertificate: 111,
     ChunkShareMsg: 116,
     ChunkRequestMsg: 117,
     ChunkResponseMsg: 118,
@@ -141,6 +151,64 @@ def test_genesis_digest_golden():
         assert out.stdout.strip() == digest
 
 
+def _signed_forms():
+    """One deterministic (hashsig) instance of every signed statement,
+    raw certificate and aggregate certificate, keyed by class name."""
+    signers = build_cluster_keys("hashsig", 3)
+    quorum = signers[:2]
+    votes = tuple(
+        Vote.create(s, "alterbft", 2, 5, b"\x11" * 32, phase=1) for s in quorum
+    )
+    blames = tuple(Blame.create(s, "alterbft", 4) for s in quorum)
+    checkpoint_votes = tuple(
+        CheckpointVote.create(s, "alterbft", 8, b"\x22" * 32, b"\x33" * 32)
+        for s in quorum
+    )
+    adjusts = tuple(DeltaAdjust.create(s, "alterbft", seq=1, rung=2) for s in quorum)
+    aggregator = signers[2]
+    forms = (
+        votes[0],
+        QuorumCertificate.build(votes),
+        AggregateQuorumCertificate.build(votes, aggregator),
+        blames[0],
+        BlameCertificate.build(blames),
+        AggregateBlameCertificate.build(blames, aggregator),
+        checkpoint_votes[0],
+        CheckpointCertificate.build(checkpoint_votes),
+        AggregateCheckpointCertificate.build(checkpoint_votes, aggregator),
+        adjusts[0],
+        DeltaAdjustCertificate.build(adjusts),
+        AggregateDeltaAdjustCertificate.build(adjusts, aggregator),
+    )
+    return {type(form).__name__: form for form in forms}
+
+
+#: SHA-256 of ``encode(x)`` for every form built by :func:`_signed_forms`.
+SIGNED_FORM_DIGESTS = {
+    "Vote": "a17516da38291398d86211454e941262cb67091615afb60fba3ac8de144a0cad",
+    "QuorumCertificate": "e1cd5648bd8a58620c567c4637d09c2b785fbb54bdcd9ca2a43a1b3b629eb74f",
+    "AggregateQuorumCertificate": "90d418123d3075d4fc8c3c8db0a47ece042bdc08c0b26b5ddec8a938253b343c",
+    "Blame": "457077b27542cac2eddaecb8a3766e0ef10de9508ba6f517c57fb975c96c977d",
+    "BlameCertificate": "e93c7b73d736959c406ff51aa921e8fe0bfa35bcd92732dda4075565e77dc717",
+    "AggregateBlameCertificate": "93d2ca8ff297fa2cbd74b01608617e958ac8e91d2aefc73d2b2e6ef2f17c2c25",
+    "CheckpointVote": "2b650414ba2d77e077d4a4c87ea006933e165414a504c20cc60449ca0ec56f62",
+    "CheckpointCertificate": "8dd52c4a4baf3e881aa39088ca5e53a81b581566b73d18f6322764f99b5d185f",
+    "AggregateCheckpointCertificate": "11102cde4d16d5b49d4340eb92a3f31421e4d43229726615369bbbc3458896a5",
+    "DeltaAdjust": "21c8d9a54d9ab445bf3de1782b16090281132cce5dca8bc8ffd63018eed86fd4",
+    "DeltaAdjustCertificate": "cb47d9e73c998f7665388c77fd924b67ea592ec50d4d59fd729c368a31512ea3",
+    "AggregateDeltaAdjustCertificate": "c5d6ee453b357cfade69c330433c23bbe1747bc467b1e733dd168d9a837b62b5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIGNED_FORM_DIGESTS))
+def test_signed_form_bytes_pinned(name):
+    """Byte-exact wire layout of all 12 signed forms: statement fields,
+    then the signature fields, under their registered type ids."""
+    form = _signed_forms()[name]
+    assert hashlib.sha256(encode(form)).hexdigest() == SIGNED_FORM_DIGESTS[name]
+    assert decode(encode(form)) == form
+
+
 class TestAggregateCertWire:
     """Round-trip and size properties of the aggregate wire variants."""
 
@@ -149,7 +217,7 @@ class TestAggregateCertWire:
         votes = tuple(
             Vote.create(signers[i], "alterbft", 2, 5, b"\x11" * 32) for i in range(n)
         )
-        return AggregateQuorumCertificate.from_votes(votes, signers[0])
+        return AggregateQuorumCertificate.build(votes, signers[0])
 
     def test_aggregate_qc_roundtrip(self):
         qc = self._agg_qc(5)
@@ -158,7 +226,7 @@ class TestAggregateCertWire:
     def test_aggregate_blame_cert_roundtrip(self):
         signers = build_cluster_keys("schnorr", 3)
         blames = tuple(Blame.create(s, "alterbft", 4) for s in signers)
-        cert = AggregateBlameCertificate.from_blames(blames, signers[0])
+        cert = AggregateBlameCertificate.build(blames, signers[0])
         assert decode(encode(cert)) == cert
         assert cert.verify(signers[1], quorum=2)
 
@@ -168,14 +236,14 @@ class TestAggregateCertWire:
             CheckpointVote.create(s, "alterbft", 8, b"\x22" * 32, b"\x33" * 32)
             for s in signers
         )
-        cert = AggregateCheckpointCertificate.from_votes(votes, signers[0])
+        cert = AggregateCheckpointCertificate.build(votes, signers[0])
         assert decode(encode(cert)) == cert
         assert cert.verify(signers[1], quorum=2)
 
     def test_aggregate_delta_adjust_cert_roundtrip(self):
         signers = build_cluster_keys("schnorr", 3)
         adjusts = tuple(DeltaAdjust.create(s, "alterbft", 1, 2) for s in signers)
-        cert = AggregateDeltaAdjustCertificate.from_adjusts(adjusts, signers[0])
+        cert = AggregateDeltaAdjustCertificate.build(adjusts, signers[0])
         assert decode(encode(cert)) == cert
         assert cert.verify(signers[1], quorum=2)
 
@@ -189,8 +257,8 @@ class TestAggregateCertWire:
                 Vote.create(signers[i], "alterbft", 2, 5, b"\x11" * 32)
                 for i in range(n)
             )
-            raw = len(encode(QuorumCertificate.from_votes(votes)))
-            agg = len(encode(AggregateQuorumCertificate.from_votes(votes, signers[0])))
+            raw = len(encode(QuorumCertificate.build(votes)))
+            agg = len(encode(AggregateQuorumCertificate.build(votes, signers[0])))
             assert agg < raw, f"n={n}: aggregate {agg}B not smaller than raw {raw}B"
             assert raw - agg > previous_saving
             previous_saving = raw - agg
@@ -213,7 +281,7 @@ class TestPipelinedHeaderWire:
         justify_votes = tuple(
             Vote.create(s, "alterbft", 2, 2, b"\x24" * 32) for s in signers[:2]
         )
-        justify = QuorumCertificate.from_votes(justify_votes)
+        justify = QuorumCertificate.build(justify_votes)
         block = make_block(2, 5, b"\x42" * 32, (), 1)
         signature = signers[1].digest_and_sign(
             PROPOSAL_DOMAIN, proposal_signing_bytes(block.block_hash)
