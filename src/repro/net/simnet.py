@@ -73,10 +73,8 @@ class SimNetwork:
         #: Observability sink for per-message delay samples; ``None``
         #: (the default) keeps the send path free of any obs work.
         self.obs = obs
-        #: Wire-byte accountant (repro.obs.wire); ``None`` (the default)
-        #: keeps the send path free of accounting work.  The tap sits at
-        #: the same site as ``Trace.count_message``, so its totals
-        #: cross-check byte-exactly against the trace counters.
+        #: Wire-byte accountant (repro.obs.wire), ``None`` by default.  It
+        #: reads the trace's send tally and only adds (epoch, height) per send.
         self.wire = wire
         self.egress_bandwidth = egress_bandwidth
         #: Messages at or below this size bypass egress queueing — the
@@ -182,7 +180,8 @@ class SimNetwork:
     def _send_sized(self, src: int, dst: int, msg: object, size: int) -> None:
         if src in self._down:
             return
-        self.trace.count_message(src, type(msg).__name__, size)
+        name = type(msg).__name__
+        self.trace.count_message(src, name, size, dst)
         if self.wire is not None:
             self.wire.account(src, dst, msg, size)
         scheduler = self.scheduler
@@ -224,7 +223,7 @@ class SimNetwork:
                 scheduler.now,
                 src,
                 dst,
-                type(msg).__name__,
+                name,
                 size,
                 departure + delay - scheduler.now,
             )

@@ -74,20 +74,21 @@ class Histogram:
         self.min = float("inf")
         self.max = 0.0
 
-    def observe(self, value: float) -> None:
-        if value < 0:
-            raise ValueError(f"histogram sample must be >= 0, got {value}")
-        self.count += 1
-        self.total += value
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``count`` samples of ``value`` (one bucket lookup)."""
+        if value < 0 or count < 1:
+            raise ValueError(f"histogram needs value >= 0 and count >= 1, got {value}, {count}")
+        self.count += count
+        self.total += value * count
         if value < self.min:
             self.min = value
         if value > self.max:
             self.max = value
         idx = bisect.bisect_left(self.bounds, value)
         if idx == len(self.bounds):
-            self.overflow += 1
+            self.overflow += count
         else:
-            self.counts[idx] += 1
+            self.counts[idx] += count
 
     @property
     def mean(self) -> float:

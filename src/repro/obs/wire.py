@@ -2,8 +2,8 @@
 
 The paper's thesis is that *message size* decides which synchrony bound a
 message can rely on; this module makes the byte flows that argument rests
-on measurable.  A :class:`WireAccountant` taps every send in the simulated
-network (:mod:`repro.net.simnet`) and the real transport
+on measurable.  A :class:`WireAccountant` covers every send in the
+simulated network (:mod:`repro.net.simnet`) and the real transport
 (:mod:`repro.net.transport`) and attributes each message's wire bytes
 along five axes at once:
 
@@ -23,21 +23,24 @@ needs on day one; :func:`to_prometheus_text` renders the standard text
 exposition for that mode's scrapers, and the JSONL snapshot feeds the
 ``python -m repro.obs wire|bandwidth|queues`` drill-downs.
 
-Accounting is **observationally inert**: it increments private counters
-only — no RNG draws, no scheduler posts, no writes to the
-fingerprint-bearing :class:`~repro.sim.tracing.Trace` — so a seeded run
-with accounting enabled is byte-identical to one without (the same
-contract as obs/guard/recovery, asserted against the golden fingerprint).
-Accounting happens at the same site as ``Trace.count_message``, so
-``bytes_total`` equals the trace's ``bytes`` counter exactly.
+Each send is counted once, in a tally keyed by (src, dst, class name,
+size): in the simulator the run's ``Trace.sends``, on the real transport
+the accountant's own.  Every axis but (epoch, height), which
+:meth:`WireAccountant.account` extracts per send, is a sum over that
+tally computed when read (a few hundred keys against 10⁴–10⁵ sends).
+Accounting is **observationally inert** — no RNG draws, no scheduler
+posts, nothing the fingerprint hashes — so a seeded run with accounting
+on is byte-identical to one without (asserted against the golden one).
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter as TallyCounter
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
+from ..sim.tracing import SendKey, sum_sends, tally_view
 from .metrics import Histogram, MetricsRegistry
 
 #: Snapshot schema version (bumped on incompatible layout changes).
@@ -186,89 +189,94 @@ class QueueSample(NamedTuple):
 class WireAccountant:
     """Multi-axis wire-byte accounting for one cluster run.
 
-    Purely additive: :meth:`account` mutates private tallies only, so an
-    attached accountant never perturbs simulation behavior (inertness).
+    ``sends`` is the tally to read — the simulator passes its trace's; a
+    standalone accountant (real transport, unit tests) owns one and fills
+    it in :meth:`account`.  Purely additive, so an attached accountant
+    never perturbs simulation behavior (inertness).
     """
 
-    def __init__(self, small_threshold: int) -> None:
+    def __init__(self, small_threshold: int, sends: Optional[TallyCounter] = None) -> None:
         if small_threshold <= 0:
             raise ValueError("small_threshold must be positive")
         self.small_threshold = small_threshold
-        self.bytes_total = 0
-        self.msgs_total = 0
-        self.loopback_bytes = 0
-        self.loopback_msgs = 0
-        self.link_bytes: TallyCounter = TallyCounter()
-        self.link_msgs: TallyCounter = TallyCounter()
-        self.class_bytes: TallyCounter = TallyCounter()
-        self.class_msgs: TallyCounter = TallyCounter()
-        #: (class, size_class) → bytes: the small/large split per class.
-        self.class_size_bytes: TallyCounter = TallyCounter()
-        self.sender_bytes: TallyCounter = TallyCounter()
-        self.sender_msgs: TallyCounter = TallyCounter()
-        self.receiver_bytes: TallyCounter = TallyCounter()
-        self.size_class_bytes: TallyCounter = TallyCounter()
-        self.size_class_msgs: TallyCounter = TallyCounter()
-        self.phase_bytes: TallyCounter = TallyCounter()
-        self.phase_msgs: TallyCounter = TallyCounter()
+        self._owns_sends = sends is None
+        #: (src, dst, class name, size) → messages.
+        self.sends: TallyCounter = TallyCounter() if sends is None else sends
+        #: The only axes that need the message itself, filled per send.
         self.height_bytes: TallyCounter = TallyCounter()
         self.epoch_bytes: TallyCounter = TallyCounter()
-        self.size_hist: Dict[str, Histogram] = {}
         self.queue_samples: List[QueueSample] = []
-        # Per-class (phase, ref-extractor) memo: resolved on first sight.
-        self._class_info: Dict[type, Tuple[str, str, Callable[[Any], Tuple[int, int]]]] = {}
+        # Per-class (epoch, height) extractor: resolved on first sight.
+        self._extractors: Dict[type, Callable[[Any], Tuple[int, int]]] = {}
 
     # -- the hot-path tap ---------------------------------------------------
 
     def account(self, src: int, dst: int, msg: object, size: int) -> None:
-        """Attribute one message's wire bytes along every axis.
+        """Attribute one *offered* send's bytes to its (epoch, height).
 
-        Called at the same site (and with the same semantics) as
-        ``Trace.count_message`` — every *offered* send, loopback and
-        fault-dropped messages included — so the wire total cross-checks
-        byte-exactly against the trace's ``bytes`` counter.
+        Called for exactly the sends the tally counts (loopback and
+        fault-dropped included), so these axes telescope to its total.
         """
-        info = self._class_info.get(type(msg))
-        if info is None:
-            name = type(msg).__name__
-            info = (name, classify_phase(name), _build_ref_extractor(msg))
-            self._class_info[type(msg)] = info
-        cls, phase, extract = info
+        cls = type(msg)
+        extract = self._extractors.get(cls)
+        if extract is None:
+            extract = self._extractors[cls] = _build_ref_extractor(msg)
         try:
             epoch, height = extract(msg)
         except AttributeError:  # Optional sub-field absent on this instance
             epoch = height = UNATTRIBUTED
-        size_class = "small" if size <= self.small_threshold else "large"
-
-        self.bytes_total += size
-        self.msgs_total += 1
-        if src == dst:
-            self.loopback_bytes += size
-            self.loopback_msgs += 1
-        self.link_bytes[(src, dst)] += size
-        self.link_msgs[(src, dst)] += 1
-        self.class_bytes[cls] += size
-        self.class_msgs[cls] += 1
-        self.class_size_bytes[(cls, size_class)] += size
-        self.sender_bytes[src] += size
-        self.sender_msgs[src] += 1
-        self.receiver_bytes[dst] += size
-        self.size_class_bytes[size_class] += size
-        self.size_class_msgs[size_class] += 1
-        self.phase_bytes[phase] += size
-        self.phase_msgs[phase] += 1
         self.height_bytes[height] += size
         self.epoch_bytes[epoch] += size
-        hist = self.size_hist.get(cls)
-        if hist is None:
-            hist = self.size_hist[cls] = Histogram(SIZE_HISTOGRAM_BOUNDS)
-        hist.observe(float(size))
+        if self._owns_sends:
+            self.sends[(src, dst, cls.__name__, size)] += 1
 
     def sample_queue(self, time: float, node: int, backlog: float, queued_bytes: int) -> None:
         """Record one egress-serialization wait at ``node``."""
         self.queue_samples.append(QueueSample(time, node, backlog, queued_bytes))
 
-    # -- derived ------------------------------------------------------------
+    # -- axes derived from the tally (computed on read) ---------------------
+
+    link_bytes = tally_view(itemgetter(0, 1))
+    link_msgs = tally_view(itemgetter(0, 1), messages=True)
+    class_bytes = tally_view(itemgetter(2))
+    class_msgs = tally_view(itemgetter(2), messages=True)
+    sender_bytes = tally_view(itemgetter(0))
+    sender_msgs = tally_view(itemgetter(0), messages=True)
+    receiver_bytes = tally_view(itemgetter(1))
+    phase_bytes = tally_view(lambda send: classify_phase(send[2]))
+    phase_msgs = tally_view(lambda send: classify_phase(send[2]), messages=True)
+
+    bytes_total = property(lambda self: sum(n * send[3] for send, n in self.sends.items()))
+    msgs_total = property(lambda self: sum(self.sends.values()))
+    size_class_bytes = property(lambda self: sum_sends(self.sends, self._size_class))
+    size_class_msgs = property(lambda self: sum_sends(self.sends, self._size_class, True))
+    #: (class, size class) → bytes: the small/large split per class.
+    class_size_bytes = property(lambda self: sum_sends(self.sends, self._class_size))
+
+    def _size_class(self, send: SendKey) -> str:
+        return "small" if send[3] <= self.small_threshold else "large"
+
+    def _class_size(self, send: SendKey) -> Tuple[str, str]:
+        return (send[2], self._size_class(send))
+
+    @property
+    def loopback_bytes(self) -> int:
+        return sum(n * send[3] for send, n in self.sends.items() if send[0] == send[1])
+
+    @property
+    def loopback_msgs(self) -> int:
+        return sum(n for send, n in self.sends.items() if send[0] == send[1])
+
+    @property
+    def size_hist(self) -> Dict[str, Histogram]:
+        """Per-class log₂ message-size histograms: one observe per tally key."""
+        hists: Dict[str, Histogram] = {}
+        for (_src, _dst, cls, size), n in self.sends.items():
+            hist = hists.get(cls)
+            if hist is None:
+                hist = hists[cls] = Histogram(SIZE_HISTOGRAM_BOUNDS)
+            hist.observe(float(size), n)
+        return hists
 
     def leader_egress_share(self) -> float:
         """Busiest sender's share of all wire bytes (1/n ⇒ perfectly even).
@@ -289,35 +297,12 @@ class WireAccountant:
     # -- aggregation --------------------------------------------------------
 
     def merge(self, other: "WireAccountant") -> "WireAccountant":
-        """Fold another run's accounting into this one (sweep totals)."""
+        """Fold another run's accounting into this one (and its shared tally)."""
         if other.small_threshold != self.small_threshold:
             raise ValueError("cannot merge accountants with different size thresholds")
-        self.bytes_total += other.bytes_total
-        self.msgs_total += other.msgs_total
-        self.loopback_bytes += other.loopback_bytes
-        self.loopback_msgs += other.loopback_msgs
-        for mine, theirs in (
-            (self.link_bytes, other.link_bytes),
-            (self.link_msgs, other.link_msgs),
-            (self.class_bytes, other.class_bytes),
-            (self.class_msgs, other.class_msgs),
-            (self.class_size_bytes, other.class_size_bytes),
-            (self.sender_bytes, other.sender_bytes),
-            (self.sender_msgs, other.sender_msgs),
-            (self.receiver_bytes, other.receiver_bytes),
-            (self.size_class_bytes, other.size_class_bytes),
-            (self.size_class_msgs, other.size_class_msgs),
-            (self.phase_bytes, other.phase_bytes),
-            (self.phase_msgs, other.phase_msgs),
-            (self.height_bytes, other.height_bytes),
-            (self.epoch_bytes, other.epoch_bytes),
-        ):
-            mine.update(theirs)
-        for cls, hist in other.size_hist.items():
-            mine_hist = self.size_hist.get(cls)
-            if mine_hist is None:
-                mine_hist = self.size_hist[cls] = Histogram(hist.bounds)
-            mine_hist.merge(hist)
+        self.sends.update(other.sends)
+        self.height_bytes.update(other.height_bytes)
+        self.epoch_bytes.update(other.epoch_bytes)
         self.queue_samples.extend(other.queue_samples)
         return self
 
@@ -345,6 +330,9 @@ class WireAccountant:
 
     def snapshot(self, meta: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
         """The full accounting as one JSON-serializable document."""
+        link_msgs, class_msgs, phase_msgs = self.link_msgs, self.class_msgs, self.phase_msgs
+        size_class_msgs, sender_msgs = self.size_class_msgs, self.sender_msgs
+        class_size_bytes, size_hist = self.class_size_bytes, self.size_hist
         queues_by_node: Dict[int, List[QueueSample]] = {}
         for sample in self.queue_samples:
             queues_by_node.setdefault(sample.node, []).append(sample)
@@ -360,61 +348,41 @@ class WireAccountant:
             },
             "leader_egress_share": self.leader_egress_share(),
             "links": [
-                {
-                    "src": src,
-                    "dst": dst,
-                    "bytes": self.link_bytes[(src, dst)],
-                    "msgs": self.link_msgs[(src, dst)],
-                }
-                for src, dst in sorted(self.link_bytes)
+                {"src": src, "dst": dst, "bytes": n, "msgs": link_msgs[(src, dst)]}
+                for (src, dst), n in sorted(self.link_bytes.items())
             ],
             "classes": [
                 {
                     "class": cls,
                     "phase": classify_phase(cls),
-                    "bytes": self.class_bytes[cls],
-                    "msgs": self.class_msgs[cls],
-                    "small_bytes": self.class_size_bytes.get((cls, "small"), 0),
-                    "large_bytes": self.class_size_bytes.get((cls, "large"), 0),
-                    "hist": self.size_hist[cls].to_dict(),
+                    "bytes": n,
+                    "msgs": class_msgs[cls],
+                    "small_bytes": class_size_bytes.get((cls, "small"), 0),
+                    "large_bytes": class_size_bytes.get((cls, "large"), 0),
+                    "hist": size_hist[cls].to_dict(),
                 }
-                for cls in sorted(self.class_bytes)
+                for cls, n in sorted(self.class_bytes.items())
             ],
             "phases": [
-                {
-                    "phase": phase,
-                    "bytes": self.phase_bytes[phase],
-                    "msgs": self.phase_msgs[phase],
-                }
-                for phase in sorted(self.phase_bytes)
+                {"phase": phase, "bytes": n, "msgs": phase_msgs[phase]}
+                for phase, n in sorted(self.phase_bytes.items())
             ],
             "size_classes": [
-                {
-                    "size_class": size_class,
-                    "bytes": self.size_class_bytes[size_class],
-                    "msgs": self.size_class_msgs[size_class],
-                }
-                for size_class in sorted(self.size_class_bytes)
+                {"size_class": size_class, "bytes": n, "msgs": size_class_msgs[size_class]}
+                for size_class, n in sorted(self.size_class_bytes.items())
             ],
             "senders": [
-                {
-                    "node": node,
-                    "bytes": self.sender_bytes[node],
-                    "msgs": self.sender_msgs[node],
-                }
-                for node in sorted(self.sender_bytes)
+                {"node": node, "bytes": n, "msgs": sender_msgs[node]}
+                for node, n in sorted(self.sender_bytes.items())
             ],
             "receivers": [
-                {"node": node, "bytes": self.receiver_bytes[node]}
-                for node in sorted(self.receiver_bytes)
+                {"node": node, "bytes": n} for node, n in sorted(self.receiver_bytes.items())
             ],
             "heights": [
-                {"height": height, "bytes": self.height_bytes[height]}
-                for height in sorted(self.height_bytes)
+                {"height": height, "bytes": n} for height, n in sorted(self.height_bytes.items())
             ],
             "epochs": [
-                {"epoch": epoch, "bytes": self.epoch_bytes[epoch]}
-                for epoch in sorted(self.epoch_bytes)
+                {"epoch": epoch, "bytes": n} for epoch, n in sorted(self.epoch_bytes.items())
             ],
             "queues": [
                 {

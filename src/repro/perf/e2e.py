@@ -122,13 +122,18 @@ def run_one(config: E2EConfig) -> Tuple[float, int, int, str, Trace, Dict[str, f
     committed = cluster.collector.committed_tx_count(cfg.max_sim_time)
     wire = cluster.wire
     assert wire is not None
-    # Hard cross-check: the accountant taps the same site as the trace
-    # counters, so the two byte totals must agree exactly.
+    # The accountant reads the trace's send tally, so these two totals
+    # agree by construction; the check guards that wiring.
     if wire.bytes_total != cluster.trace.counters.get("bytes", 0):
         raise AssertionError(
             f"{config.label}: wire accountant ({wire.bytes_total} B) disagrees "
             f"with trace counters ({cluster.trace.counters.get('bytes', 0)} B)"
         )
+    # Independent of the tally: account() attributes each message to its
+    # (epoch, height) itself, and those totals must cover every send.
+    attributed = (sum(wire.height_bytes.values()), sum(wire.epoch_bytes.values()))
+    if attributed != (wire.bytes_total,) * 2:
+        raise AssertionError(f"{config.label}: (height, epoch) bytes {attributed} != tally")
     wire_stats = {
         "wire_bytes_total": float(wire.bytes_total),
         "leader_egress_share": wire.leader_egress_share(),

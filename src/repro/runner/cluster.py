@@ -99,7 +99,7 @@ def build_cluster(config: ExperimentConfig) -> Cluster:
     trace = Trace(record_events=config.record_trace)
     obs = SpanRecorder() if config.observability else None
     wire = (
-        WireAccountant(small_threshold=config.network_config.small_threshold)
+        WireAccountant(config.network_config.small_threshold, sends=trace.sends)
         if config.wire_accounting
         else None
     )

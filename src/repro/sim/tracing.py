@@ -1,17 +1,36 @@
 """Lightweight simulation tracing and counters.
 
-A :class:`Trace` collects structured events (message sends, commits, epoch
-changes) and aggregate counters (bytes on the wire, message counts by
-class).  Recording individual events can be disabled for large runs while
-keeping counters, which cost almost nothing.
+A :class:`Trace` collects structured events (commits, epoch changes) with
+a count per kind, and a tally of wire sends per (src, dst, class name,
+size).  A send costs one tally increment; the byte and message counters,
+and the wire accountant's axes (:mod:`repro.obs.wire`), are sums over the
+tally computed when read.  Recording individual events can be disabled
+for large runs while keeping the counts.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import Any, Callable, Dict, List, Optional, Tuple
+
+#: One send-tally key: (src, dst, class name, size in bytes).
+SendKey = Tuple[int, int, str, int]
+
+
+def sum_sends(sends: Counter, key: Callable[[SendKey], Any], messages: bool = False) -> Counter:
+    """Bytes (message counts if ``messages``) of a send tally per ``key(send)``."""
+    out: Counter = Counter()
+    for send, n in sends.items():
+        out[key(send)] += n if messages else n * send[3]
+    return out
+
+
+def tally_view(key: Callable[[SendKey], Any], messages: bool = False) -> property:
+    """A read-only view of ``self.sends``, summed per ``key`` on each read."""
+    return property(lambda self: sum_sends(self.sends, key, messages))
 
 
 @dataclass(frozen=True)
@@ -30,31 +49,38 @@ class Trace:
     def __init__(self, record_events: bool = False) -> None:
         self.record_events = record_events
         self.events: List[TraceEvent] = []
-        self.counters: Counter = Counter()
-        self.bytes_sent_by_node: Counter = Counter()
-        self.messages_by_type: Counter = Counter()
-        #: (sender, message class) → bytes — the per-class refinement of
-        #: ``bytes_sent_by_node``.  Deliberately NOT part of
-        #: :meth:`fingerprint`: the golden fingerprints predate it, and
-        #: it is fully derived from the same send stream the hashed
-        #: counters already witness.
-        self.bytes_by_node_class: Counter = Counter()
+        #: Event kind → number of :meth:`emit` calls.
+        self.event_counts: Counter = Counter()
+        #: (src, dst, class name, size) → messages: every offered send,
+        #: counted once.  The byte views below are sums over it.
+        self.sends: Counter = Counter()
 
     def emit(self, time: float, kind: str, node: int, **detail: Any) -> None:
         """Record an event (no-op unless ``record_events`` is set)."""
-        self.counters[kind] += 1
+        self.event_counts[kind] += 1
         if self.record_events:
             self.events.append(
                 TraceEvent(time=time, kind=kind, node=node, detail=tuple(sorted(detail.items())))
             )
 
-    def count_message(self, sender: int, type_name: str, size: int) -> None:
-        """Account one wire message."""
-        self.counters["messages"] += 1
-        self.counters["bytes"] += size
-        self.bytes_sent_by_node[sender] += size
-        self.messages_by_type[type_name] += 1
-        self.bytes_by_node_class[(sender, type_name)] += size
+    def count_message(self, sender: int, type_name: str, size: int, dst: int = -1) -> None:
+        """Account one wire message (``dst`` -1: receiver not given)."""
+        self.sends[(sender, dst, type_name, size)] += 1
+
+    @property
+    def counters(self) -> Counter:
+        """Event counts plus the ``messages`` and ``bytes`` totals."""
+        out = Counter(self.event_counts)
+        if self.sends:
+            out["messages"] += sum(self.sends.values())
+            out["bytes"] += sum(n * send[3] for send, n in self.sends.items())
+        return out
+
+    bytes_sent_by_node = tally_view(itemgetter(0))
+    messages_by_type = tally_view(itemgetter(2), messages=True)
+    #: (sender, message class) → bytes.  NOT part of :meth:`fingerprint`:
+    #: the golden fingerprints predate it (the hashed views cover the tally).
+    bytes_by_node_class = tally_view(itemgetter(0, 2))
 
     def events_of(self, kind: str) -> List[TraceEvent]:
         """All recorded events of one kind, in time order."""
@@ -65,13 +91,14 @@ class Trace:
         by_node_class: Dict[int, Dict[str, int]] = {}
         for (sender, type_name), size in self.bytes_by_node_class.items():
             by_node_class.setdefault(sender, {})[type_name] = size
+        counters = self.counters
         return {
-            "messages": self.counters.get("messages", 0),
-            "bytes": self.counters.get("bytes", 0),
+            "messages": counters.get("messages", 0),
+            "bytes": counters.get("bytes", 0),
             "by_type": dict(self.messages_by_type),
             "bytes_sent_by_node": dict(self.bytes_sent_by_node),
             "bytes_by_node_class": by_node_class,
-            "counters": dict(self.counters),
+            "counters": dict(counters),
         }
 
     def merge(self, other: "Trace") -> "Trace":
@@ -82,10 +109,8 @@ class Trace:
         message-type mixes cover the whole sweep.  Returns ``self`` for
         chaining.
         """
-        self.counters.update(other.counters)
-        self.bytes_sent_by_node.update(other.bytes_sent_by_node)
-        self.messages_by_type.update(other.messages_by_type)
-        self.bytes_by_node_class.update(other.bytes_by_node_class)
+        self.event_counts.update(other.event_counts)
+        self.sends.update(other.sends)
         if self.record_events:
             self.events.extend(other.events)
         return self

@@ -105,6 +105,19 @@ class TestMetrics:
         with pytest.raises(ValueError):
             a.merge(Histogram((1.0, 3.0)))
 
+    def test_histogram_weighted_observe_matches_repeats(self):
+        bounds = (16.0, 64.0, 256.0)
+        weighted, repeated = Histogram(bounds), Histogram(bounds)
+        for value, count in ((20.0, 3), (300.0, 2), (16.0, 5), (100.0, 1)):
+            weighted.observe(value, count)
+            for _ in range(count):
+                repeated.observe(value)
+        for attr in ("count", "total", "min", "max", "counts", "overflow"):
+            assert getattr(weighted, attr) == getattr(repeated, attr), attr
+        assert weighted.to_dict() == repeated.to_dict()
+        with pytest.raises(ValueError):
+            weighted.observe(1.0, 0)
+
     def test_registry_types_and_prefixes(self):
         reg = MetricsRegistry()
         reg.counter("a/x").inc()
@@ -424,6 +437,18 @@ class TestTraceAggregation:
         a.merge(b)
         assert a.bytes_by_node_class[(0, "VoteMsg")] == 150
         assert a.bytes_by_node_class[(2, "BlameMsg")] == 10
+
+    def test_views_hold_only_observed_keys(self):
+        trace = Trace()
+        trace.emit(0.0, "commit", 0)
+        assert dict(trace.counters) == {"commit": 1}
+        trace.count_message(0, "VoteMsg", 100, 1)
+        trace.count_message(0, "VoteMsg", 100, 1)
+        trace.count_message(0, "VoteMsg", 100, 2)
+        assert trace.sends == {(0, 1, "VoteMsg", 100): 2, (0, 2, "VoteMsg", 100): 1}
+        assert dict(trace.counters) == {"commit": 1, "messages": 3, "bytes": 300}
+        assert dict(trace.bytes_sent_by_node) == {0: 300}
+        assert dict(trace.messages_by_type) == {"VoteMsg": 3}
 
     def test_merge_keeps_events_when_recording(self):
         a, b = Trace(record_events=True), Trace(record_events=True)

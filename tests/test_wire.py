@@ -5,9 +5,10 @@ The load-bearing properties pinned here:
 * **Telescoping** — every attribution axis (links, classes, phases, size
   classes, senders, receivers, heights, epochs) sums byte-exactly to the
   wire total on a real seeded run; no drill-down silently drops traffic.
-* **Trace agreement** — the accountant taps the same site as
-  ``Trace.count_message``, so its total equals the fingerprint-bearing
-  ``bytes`` counter exactly.
+* **Trace agreement** — the accountant reads the trace's send tally, so
+  its total equals the fingerprint-bearing ``bytes`` counter exactly;
+  the tally is cross-checked against the observability recorder's
+  per-message samples, a separate record of the same sends.
 * **Inertness** — a seeded run with wire accounting enabled produces the
   byte-identical golden fingerprint of a run without it.
 * **Contract** — each protocol's declared ``WIRE_PHASES`` matches the
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+from collections import Counter
 
 import pytest
 
@@ -77,10 +79,11 @@ def _signer():
     return build_cluster_keys("hashsig", 1)[0]
 
 
-def _run_cluster(protocol: str = "alterbft", **kwargs):
+def _run_cluster(protocol: str = "alterbft", observability: bool = False, **kwargs):
     cfg = dataclasses.replace(
         make_config(protocol, f=1, rate=500.0, duration=1.5, seed=7, **kwargs),
         wire_accounting=True,
+        observability=observability,
     )
     cluster = build_cluster(cfg)
     cluster.start()
@@ -272,6 +275,48 @@ class TestLiveRun:
         small = cluster.wire.class_size_bytes
         assert small.get(("ProposalHeaderMsg", "large"), 0) == 0
         assert small.get(("VoteMsg", "large"), 0) == 0
+
+
+class TestIndependentCrossCheck:
+    """Checks of the send tally against records it does not feed."""
+
+    @pytest.fixture(scope="class")
+    def cluster(self):
+        return _run_cluster(observability=True)
+
+    def test_tally_matches_recorded_message_samples(self, cluster):
+        """Fault-free, every non-loopback send reaches ``SpanRecorder.message``."""
+        counters = cluster.trace.counters
+        for kind in ("msg_partitioned", "msg_filtered", "msg_dropped"):
+            assert counters.get(kind, 0) == 0
+        tallied = {axis: Counter() for axis in ("link_B", "link_n", "class_B", "class_n")}
+        for (src, dst, cls, size), n in cluster.trace.sends.items():
+            if src == dst:
+                continue
+            tallied["link_B"][(src, dst)] += n * size
+            tallied["link_n"][(src, dst)] += n
+            tallied["class_B"][cls] += n * size
+            tallied["class_n"][cls] += n
+        sampled = {axis: Counter() for axis in tallied}
+        for sample in cluster.obs.messages:
+            sampled["link_B"][(sample.src, sample.dst)] += sample.size
+            sampled["link_n"][(sample.src, sample.dst)] += 1
+            sampled["class_B"][sample.cls] += sample.size
+            sampled["class_n"][sample.cls] += 1
+        assert sampled["link_n"], "the recorder saw no messages"
+        assert tallied == sampled
+
+    def test_validator_flags_a_send_missing_from_block_attribution(self, cluster):
+        wire = WireAccountant(cluster.wire.small_threshold, sends=Counter(cluster.trace.sends))
+        wire.height_bytes.update(cluster.wire.height_bytes)
+        wire.epoch_bytes.update(cluster.wire.epoch_bytes)
+        assert validate_wire_snapshot(wire.snapshot()) == []
+        # One more tallied send that account() never attributed.
+        wire.sends[next(iter(wire.sends))] += 1
+        problems = validate_wire_snapshot(wire.snapshot())
+        assert any("'heights'" in p for p in problems)
+        assert any("'epochs'" in p for p in problems)
+        assert not any("'links'" in p or "'classes'" in p for p in problems)
 
 
 class TestInertness:
